@@ -2,100 +2,12 @@
 named presets, linear-recurrence decomposition, and multifold convolution
 identities, all verifiable against brute-force oracles."""
 
-from .bellpoly import (
-    MultiIndex,
-    SymbolicBellPolynomial,
-    bell_closed_three_term,
-    bell_closed_two_term,
-    bell_eval,
-    bell_eval_recurrence,
-    bell_symbolic,
-    enumerate_pi,
-)
-from .conv import (
-    SPECIALIZED_FAMILIES,
-    ConvolutionReport,
-    LemmaGuardError,
-    compositions,
-    convolution_closed,
-    convolution_closed_specialized,
-    convolution_oracle,
-    lemma_identity_check,
-    shifted_convolution_closed,
-    verify_theorem,
-)
-from .ring import (
-    Polynomial,
-    Rational,
-    RingElement,
-    X,
-    format_element,
-    generalized_binomial,
-    normalized,
-    parse_element,
-    ring_add,
-    ring_mul,
-    ring_neg,
-)
-from .seq import (
-    PRESET_NAMES,
-    BellSequenceSpec,
-    RecurrenceSpec,
-    RewrittenFormUndefined,
-    SequenceWindow,
-    bell_transform,
-    bell_transform_rewritten,
-    binomial_double_sum_tribonacci,
-    binomial_sum_fibonacci,
-    decompose,
-    fuss_catalan_closed,
-    jacobsthal_closed,
-    preset,
-)
+from . import bellpoly, conv, ring, seq
+from .bellpoly import *
+from .conv import *
+from .ring import *
+from .seq import *
 
-__all__ = [
-    "Rational",
-    "Polynomial",
-    "RingElement",
-    "X",
-    "ring_add",
-    "ring_mul",
-    "ring_neg",
-    "generalized_binomial",
-    "normalized",
-    "format_element",
-    "parse_element",
-    "MultiIndex",
-    "SymbolicBellPolynomial",
-    "enumerate_pi",
-    "bell_symbolic",
-    "bell_eval",
-    "bell_eval_recurrence",
-    "bell_closed_two_term",
-    "bell_closed_three_term",
-    "BellSequenceSpec",
-    "SequenceWindow",
-    "RecurrenceSpec",
-    "RewrittenFormUndefined",
-    "PRESET_NAMES",
-    "bell_transform",
-    "bell_transform_rewritten",
-    "preset",
-    "fuss_catalan_closed",
-    "decompose",
-    "binomial_sum_fibonacci",
-    "binomial_double_sum_tribonacci",
-    "jacobsthal_closed",
-    "ConvolutionReport",
-    "LemmaGuardError",
-    "SPECIALIZED_FAMILIES",
-    "compositions",
-    "convolution_oracle",
-    "convolution_closed",
-    "convolution_closed_specialized",
-    "shifted_convolution_closed",
-    "lemma_identity_check",
-    "verify_theorem",
-]
+__all__ = ring.__all__ + bellpoly.__all__ + seq.__all__ + conv.__all__
 
 __version__ = "0.1.0"

@@ -19,10 +19,10 @@ from .seq import PRESET_NAMES, BellSequenceSpec, RecurrenceSpec
 
 
 def _element_list(text: str) -> list:
-    values = [parse_element(atom) for atom in text.split(",") if atom.strip() != ""]
-    if not values:
-        raise argparse.ArgumentTypeError(f"empty list {text!r}")
-    return values
+    try:
+        return [parse_element(atom) for atom in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"in list {text!r}: {exc}") from None
 
 
 def _non_negative(text: str) -> int:

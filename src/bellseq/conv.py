@@ -9,17 +9,21 @@ for n >= 1.  This module implements the brute-force composition oracle, the
 closed form, its delta-shifted variant for the a=0, b=1 family, specialized
 per-family formulas coded independently of the general one, and a numeric
 checker for the two-index Bell convolution identity they all rest on.
+
+Both closed forms are calls into the power-series kernel of :mod:`.seq`
+(:func:`~bellseq.seq.closed_form` over a :func:`~bellseq.seq.power_table`);
+only the oracle, the specialized formulas and the lemma checker compute on
+their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from .bellpoly import bell_eval
 from .ring import RingElement, X, format_element, generalized_binomial, normalized
-from .seq import BellSequenceSpec, SequenceWindow, bell_transform
+from .seq import BellSequenceSpec, SequenceWindow, bell_transform, closed_form, power_table
 
 __all__ = [
     "ConvolutionReport",
@@ -125,23 +129,16 @@ def convolution_closed(spec: BellSequenceSpec, r: int, n: int) -> RingElement:
         raise ValueError(
             "closed convolution form is stated for n >= 1 only; the n = 0 sum is 1"
         )
-    args = spec.scaled_args(n)
-    total = 0
-    nfact = factorial(n)
-    for k in range(1, n + 1):
-        binom = generalized_binomial(spec.a * n + spec.b * k + r - 1, k - 1)
-        if binom == 0:
-            continue
-        total = total + Fraction(binom * factorial(k - 1), nfact) * bell_eval(n, k, args)
-    return normalized(r * total)
+    return closed_form(spec, r, n, power_table(spec.c, n))
 
 
 def shifted_convolution_closed(c, r: int, n: int, delta: int) -> RingElement:
     """Closed form for the a=0, b=1 family with every factor shifted by delta:
 
-        sum_{k=0..n-delta*r} binom(k+r-1, k) * k!/(n-delta*r)! * B_{n-delta*r,k}(1!c_1, ...)
+        sum_{k=0..m} binom(k+r-1, k) * k!/m! * B_{m,k}(1!c_1, ...),  m = n - delta*r
 
-    Returns 0 when n < delta*r.
+    which is the unshifted closed form of the a=0, b=1 family at index m.
+    Returns 1 when m = 0 and 0 when m < 0.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
@@ -150,16 +147,9 @@ def shifted_convolution_closed(c, r: int, n: int, delta: int) -> RingElement:
     m = n - delta * r
     if m < 0:
         return 0
-    spec_args = [factorial(j) * cj for j, cj in enumerate(c, start=1)]
-    if len(spec_args) < m + 1:
-        spec_args.extend([0] * (m + 1 - len(spec_args)))
-    total = 0
-    mfact = factorial(m)
-    for k in range(m + 1):
-        total = total + Fraction(
-            generalized_binomial(k + r - 1, k) * factorial(k), mfact
-        ) * bell_eval(m, k, spec_args)
-    return normalized(total)
+    if m == 0:
+        return 1
+    return convolution_closed(BellSequenceSpec(0, 1, c), r, m)
 
 
 SPECIALIZED_FAMILIES = (

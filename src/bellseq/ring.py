@@ -19,9 +19,6 @@ __all__ = [
     "Polynomial",
     "RingElement",
     "X",
-    "ring_add",
-    "ring_mul",
-    "ring_neg",
     "generalized_binomial",
     "normalized",
     "format_element",
@@ -203,21 +200,6 @@ X = Polynomial((0, 1))
 RingElement = Union[int, Fraction, Polynomial]
 
 
-def ring_add(a: RingElement, b: RingElement) -> RingElement:
-    """Exact sum of two elements of the same ring."""
-    return a + b
-
-
-def ring_mul(a: RingElement, b: RingElement) -> RingElement:
-    """Exact product of two elements of the same ring."""
-    return a * b
-
-
-def ring_neg(a: RingElement) -> RingElement:
-    """Exact additive inverse."""
-    return -a
-
-
 def generalized_binomial(t: int, k: int) -> int:
     """Binomial coefficient t over k for arbitrary integer t and k >= 0.
 
@@ -284,7 +266,10 @@ def parse_element(text: str) -> RingElement:
         if not m or (m.group(2) is None and m.group(3) is None):
             raise ValueError(f"malformed term {term!r} in {text!r}")
         sign = -1 if m.group(1) == "-" else 1
-        coeff = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+        try:
+            coeff = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
         if m.group(3):
             saw_x = True
             exponent = int(m.group(4)) if m.group(4) else 1

@@ -10,15 +10,23 @@ list c.  Named presets cover Fibonacci, Tribonacci, Jacobsthal (polynomial
 ring), Catalan, Motzkin, and the Fuss-Catalan family, and `decompose`
 expresses an arbitrary constant-coefficient linear recurrence sequence as a
 fixed linear combination of shifted y values (the a=0, b=1 member).
+
+Every form is evaluated by one kernel.  With g(t) = sum_j c_j t^j,
+B_{n,k}(1!c_1, 2!c_2, ...) = n!/k! * [t^n] g(t)^k (Comtet, Advanced
+Combinatorics, 1974, section 3.3), so y_n and its r-fold convolution are
+column sums over one table of truncated powers of g:
+
+    r * sum_{k=1..n} binom(a*n + b*k + r-1, k-1) / k * [t^n] g(t)^k
+
+(:func:`power_table` and :func:`closed_form`); y is the case r = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
 
-from .bellpoly import bell_eval
+from .bellpoly import bell_eval  # noqa: F401  unused; bench/tracing.py wraps seq.bell_eval by name
 from .ring import Polynomial, RingElement, X, generalized_binomial, normalized
 
 __all__ = [
@@ -73,13 +81,6 @@ class BellSequenceSpec:
         if self.ring and self.ring != tag:
             raise ValueError(f"ring tag {self.ring!r} does not match coefficients ({tag})")
         object.__setattr__(self, "ring", tag)
-
-    def scaled_args(self, length: int) -> list:
-        """The Bell-polynomial argument list (1!c_1, 2!c_2, ...), zero-padded."""
-        args = [factorial(j) * cj for j, cj in enumerate(self.c, start=1)]
-        if len(args) < length:
-            args.extend([0] * (length - len(args)))
-        return args
 
 
 @dataclass(frozen=True)
@@ -146,22 +147,52 @@ class RecurrenceSpec:
         return len(self.coefficients)
 
 
+def power_table(c, N: int) -> list:
+    """table[k][n] = [t^n] g(t)^k for 0 <= k, n <= N, where g(t) = sum_j c_j t^j.
+
+    Row k is row k-1 times g, truncated at degree N; zero coefficients of g
+    are skipped, so the table costs O(N^2 * len(c)) ring operations.
+    """
+    terms = [(j, cj) for j, cj in enumerate(c[:N], start=1) if cj]
+    table = [[1] + [0] * N]
+    for k in range(1, N + 1):
+        prev = table[-1]
+        row = [0] * (N + 1)
+        for i in range(k - 1, N):
+            if prev[i]:
+                for j, cj in terms:
+                    if i + j > N:
+                        break
+                    row[i + j] = row[i + j] + prev[i] * cj
+        table.append(row)
+    return table
+
+
+def closed_form(spec: BellSequenceSpec, r: int, n: int, table: list) -> RingElement:
+    """r * sum_{k=1..n} binom(a*n + b*k + r-1, k-1) / k * table[k][n], and 1 at n = 0.
+
+    table is a :func:`power_table` of spec.c covering index n.  At r = 1 this
+    is y_n; for r >= 1 it is the r-fold convolution of y at index n.
+    """
+    if n == 0:
+        return 1
+    total = 0
+    for k in range(1, n + 1):
+        power = table[k][n]
+        if not power:
+            continue
+        binom = generalized_binomial(spec.a * n + spec.b * k + r - 1, k - 1)
+        if binom:
+            total = total + Fraction(r * binom, k) * power
+    return normalized(total)
+
+
 def bell_transform(spec: BellSequenceSpec, N: int) -> SequenceWindow:
     """y_0..y_N of the family defined by spec, exactly."""
     if N < 0:
         raise ValueError("N must be non-negative")
-    args = spec.scaled_args(N + 1)
-    values = [1]
-    for n in range(1, N + 1):
-        total = 0
-        nfact = factorial(n)
-        for k in range(1, n + 1):
-            binom = generalized_binomial(spec.a * n + spec.b * k, k - 1)
-            if binom == 0:
-                continue
-            total = total + Fraction(binom * factorial(k - 1), nfact) * bell_eval(n, k, args)
-        values.append(normalized(total))
-    return SequenceWindow(tuple(values), spec)
+    table = power_table(spec.c, N)
+    return SequenceWindow(tuple(closed_form(spec, 1, n, table) for n in range(N + 1)), spec)
 
 
 def bell_transform_rewritten(spec: BellSequenceSpec, N: int) -> SequenceWindow:
@@ -179,17 +210,18 @@ def bell_transform_rewritten(spec: BellSequenceSpec, N: int) -> SequenceWindow:
         for k in range(n + 1):
             if spec.a * n + spec.b * k + 1 == 0:
                 raise RewrittenFormUndefined(n, k)
-    args = spec.scaled_args(N + 1)
+    table = power_table(spec.c, N)
     values = []
     for n in range(N + 1):
         total = 0
-        nfact = factorial(n)
         for k in range(n + 1):
+            power = table[k][n]
+            if not power:
+                continue
             t = spec.a * n + spec.b * k + 1
             binom = generalized_binomial(t, k)
-            if binom == 0:
-                continue
-            total = total + Fraction(binom * factorial(k), t * nfact) * bell_eval(n, k, args)
+            if binom:
+                total = total + Fraction(binom, t) * power
         values.append(normalized(total))
     return SequenceWindow(tuple(values), spec)
 

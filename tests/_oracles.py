@@ -1,15 +1,20 @@
 """Independent oracles used across the test suite.
 
 Everything here is computed by a different route than the code under test:
-triangle recurrences, defining sequence recurrences, and exhaustive
-enumeration via itertools.  Only the exact-arithmetic substrate (Fraction,
-Polynomial) is shared with the package.
+triangle recurrences, defining sequence recurrences, exhaustive enumeration
+via itertools, and the paper's partial-Bell-polynomial definitions evaluated
+by enumerating the index set pi(n, k) (``bell_eval``) instead of through the
+power-series kernel.  Only the exact-arithmetic substrate (Fraction,
+Polynomial, generalized_binomial) and ``bell_eval`` are shared with the
+package.
 """
 
 import itertools
 from fractions import Fraction
+from math import factorial
 
-from bellseq.ring import Polynomial, X
+from bellseq.bellpoly import bell_eval
+from bellseq.ring import Polynomial, X, generalized_binomial
 
 
 def stirling2(n_max):
@@ -123,3 +128,45 @@ def random_ring_spec(rng):
 
 def random_fraction(rng, max_num=6, max_den=4):
     return Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_den))
+
+
+def _bell_args(c, n):
+    """The Bell-polynomial arguments (1!c_1, 2!c_2, ...), zero-padded to n+1."""
+    args = [factorial(j) * cj for j, cj in enumerate(c, start=1)]
+    return args + [0] * max(0, n + 1 - len(args))
+
+
+def closed_form_by_enumeration(a, b, c, r, n):
+    """r * sum_{k=1..n} binom(a n + b k + r-1, k-1) (k-1)!/n! B_{n,k}(1!c_1, ...);
+    y_n at r = 1 and the r-fold convolution of y at index n >= 1."""
+    args = _bell_args(c, n)
+    total = 0
+    for k in range(1, n + 1):
+        binom = generalized_binomial(a * n + b * k + r - 1, k - 1)
+        weight = Fraction(r * binom * factorial(k - 1), factorial(n))
+        total = total + weight * bell_eval(n, k, args)
+    return total
+
+
+def rewritten_by_enumeration(a, b, c, n):
+    """sum_{k=0..n} binom(t, k)/t k!/n! B_{n,k}(1!c_1, ...) with t = a n + b k + 1."""
+    args = _bell_args(c, n)
+    total = 0
+    for k in range(n + 1):
+        t = a * n + b * k + 1
+        weight = Fraction(generalized_binomial(t, k) * factorial(k), t * factorial(n))
+        total = total + weight * bell_eval(n, k, args)
+    return total
+
+
+def shifted_by_enumeration(c, r, n, delta):
+    """sum_{k=0..m} binom(k+r-1, k) k!/m! B_{m,k}(1!c_1, ...), m = n - delta r; 0 for m < 0."""
+    m = n - delta * r
+    if m < 0:
+        return 0
+    args = _bell_args(c, m)
+    total = 0
+    for k in range(m + 1):
+        weight = Fraction(generalized_binomial(k + r - 1, k) * factorial(k), factorial(m))
+        total = total + weight * bell_eval(m, k, args)
+    return total

@@ -73,11 +73,17 @@ class TestUsageErrors:
             ("bell", "--n", "4", "--k", "2", "--x", "1,1"),
             ("bell", "--n", "4", "--k", "2"),
             ("bell", "--n", "4", "--k", "2", "--symbolic", "--x", "1,1,1"),
+            ("seq", "--a", "1", "--b", "0", "--c", "1/0", "--n", "3"),
+            ("seq", "--a", "1", "--b", "0", "--c", "1,,2", "--n", "3"),
+            ("decompose", "--coeffs", "1,1", "--init", "1/0,1", "--n", "3"),
+            ("bell", "--n", "4", "--k", "2", "--x", "1,,2"),
         ],
     )
     def test_exit_code_2(self, argv):
         result = run_subprocess(*argv)
         assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        assert sum("error:" in line for line in result.stderr.splitlines()) == 1
 
 
 class TestConvCommand:
