@@ -150,8 +150,11 @@ def bell_eval(n: int, k: int, xs) -> RingElement:
     """B_{n,k}(xs) by direct enumeration of the index set.
 
     xs must supply at least n-k+1 entries (extra ones are ignored); the
-    entries may be ints, Fractions, or Polynomials.
+    entries may be ints, Fractions, or Polynomials.  Both are checked before
+    the index set is enumerated.
     """
+    _check_nk(n, k)
+    _check_args(n, k, xs)
     return bell_symbolic(n, k).evaluate(xs)
 
 

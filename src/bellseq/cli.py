@@ -3,7 +3,10 @@ recurrence decomposition, and Bell-polynomial inspection.
 
 Output goes to stdout as plain text, CSV, or one JSON object per line.
 Exit codes: 0 success / all checks matched, 1 a verification check failed,
-2 usage error.
+2 usage error.  Every usage error, whether argparse or the library rejects
+the request, exits 2 with one ``error:`` line on stderr; so does a
+``conv --check`` request whose oracle would visit more than
+MAX_COMPOSITIONS compositions.
 """
 
 from __future__ import annotations
@@ -11,11 +14,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb
 
 from . import conv, seq
 from .bellpoly import bell_eval, bell_eval_recurrence, bell_symbolic
 from .ring import format_element, parse_element
 from .seq import PRESET_NAMES, BellSequenceSpec, RecurrenceSpec
+
+# largest oracle cost `conv --check` accepts: about a second of work
+MAX_COMPOSITIONS = 10**6
 
 
 def _element_list(text: str) -> list:
@@ -102,27 +109,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_spec(args, parser) -> tuple:
+def _resolve_spec(args) -> tuple:
     """(spec, offset) from --preset or from --a/--b/--c."""
     params = dict(args.param)
     if args.preset is not None:
         if args.a is not None or args.b is not None or args.c is not None:
-            parser.error("--preset conflicts with --a/--b/--c")
+            raise ValueError("--preset conflicts with --a/--b/--c")
         b = params.pop("b", None)
         if params:
-            parser.error(f"unknown --param keys: {', '.join(sorted(params))}")
-        try:
-            return seq.preset(args.preset, b=b)
-        except ValueError as exc:
-            parser.error(str(exc))
+            raise ValueError(f"unknown --param keys: {', '.join(sorted(params))}")
+        return seq.preset(args.preset, b=b)
     if args.a is None or args.b is None or args.c is None:
-        parser.error("either --preset or all of --a, --b, --c are required")
+        raise ValueError("either --preset or all of --a, --b, --c are required")
     if params:
-        parser.error("--param is only meaningful with --preset fuss_catalan")
-    try:
-        return BellSequenceSpec(args.a, args.b, tuple(args.c)), 0
-    except ValueError as exc:
-        parser.error(str(exc))
+        raise ValueError("--param is only meaningful with --preset fuss_catalan")
+    return BellSequenceSpec(args.a, args.b, tuple(args.c)), 0
 
 
 class _Emitter:
@@ -165,8 +166,8 @@ class _Emitter:
             print(",".join(cells), file=self.out)
 
 
-def _cmd_seq(args, parser, emitter) -> int:
-    spec, offset = _resolve_spec(args, parser)
+def _cmd_seq(args, emitter) -> int:
+    spec, offset = _resolve_spec(args)
     if args.apply_offset:
         window = seq.bell_transform(spec, args.n + max(0, -offset))
         values = window.shifted(offset, args.n + 1)
@@ -178,10 +179,10 @@ def _cmd_seq(args, parser, emitter) -> int:
     return 0
 
 
-def _cmd_conv(args, parser, emitter) -> int:
-    spec, _ = _resolve_spec(args, parser)
+def _cmd_conv(args, emitter) -> int:
+    spec, _ = _resolve_spec(args)
     if args.delta > 0 and (spec.a != 0 or spec.b != 1):
-        parser.error("shift formula stated for a=0, b=1 family")
+        raise ValueError("shift formula stated for a=0, b=1 family")
 
     def closed(r, n):
         if args.delta > 0:
@@ -198,12 +199,19 @@ def _cmd_conv(args, parser, emitter) -> int:
             )
         return 0
 
+    # sum over n = 1..N of C(n + r - 1, r - 1) compositions
+    visits = comb(args.n + args.r, args.r) - 1
+    if visits > MAX_COMPOSITIONS:
+        raise ValueError(
+            f"--check would visit {visits} compositions, more than {MAX_COMPOSITIONS}; "
+            "use --closed-only"
+        )
     window = seq.bell_transform(spec, args.n)
     all_matched = True
     for n in range(1, args.n + 1):
         lhs = conv.convolution_oracle(window, args.r, n, args.delta)
         rhs = closed(args.r, n)
-        report = conv.ConvolutionReport(args.r, n, lhs, rhs, lhs == rhs)
+        report = conv.ConvolutionReport(args.r, n, lhs, rhs)
         all_matched &= report.matched
         rec = report.to_record()
         emitter.emit(
@@ -214,18 +222,11 @@ def _cmd_conv(args, parser, emitter) -> int:
     return 0 if all_matched else 1
 
 
-def _cmd_decompose(args, parser, emitter) -> int:
-    if len(args.coeffs) != len(args.init):
-        parser.error(
-            f"--coeffs and --init must have equal length, got {len(args.coeffs)} and {len(args.init)}"
-        )
+def _cmd_decompose(args, emitter) -> int:
     rec_spec = RecurrenceSpec(tuple(args.coeffs), tuple(args.init))
-    d = rec_spec.order
-    if args.n < d - 1:
-        parser.error(f"--n must be at least d-1 = {d - 1}")
     lambdas, window = seq.decompose(rec_spec, args.n)
     ok = True
-    for n in range(d, len(window)):
+    for n in range(rec_spec.order, len(window)):
         expected = 0
         for i, ci in enumerate(rec_spec.coefficients, start=1):
             expected = expected + ci * window.value_at(n - i)
@@ -247,18 +248,16 @@ def _cmd_decompose(args, parser, emitter) -> int:
     return 0 if ok else 1
 
 
-def _cmd_bell(args, parser, emitter) -> int:
+def _cmd_bell(args, emitter) -> int:
     n, k = args.n, args.k
     if args.symbolic:
         if args.x is not None:
-            parser.error("--symbolic conflicts with --x")
+            raise ValueError("--symbolic conflicts with --x")
         text = str(bell_symbolic(n, k))
         emitter.emit({"kind": "bellpoly", "n": n, "k": k, "terms": text}, text)
         return 0
     if args.x is None:
-        parser.error("either --symbolic or --x is required")
-    if k <= n and len(args.x) < n - k + 1:
-        parser.error(f"--x needs at least n-k+1 = {n - k + 1} entries, got {len(args.x)}")
+        raise ValueError("either --symbolic or --x is required")
     value = bell_eval(n, k, args.x)
     record = {"kind": "bellpoly", "n": n, "k": k, "value": format_element(value)}
     plain = record["value"]
@@ -281,7 +280,10 @@ def main(argv=None) -> int:
         "decompose": _cmd_decompose,
         "bell": _cmd_bell,
     }[args.command]
-    return handler(args, parser, emitter)
+    try:
+        return handler(args, emitter)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def run():

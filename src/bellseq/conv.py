@@ -56,11 +56,11 @@ class ConvolutionReport:
     n: int
     lhs: RingElement
     rhs: RingElement
-    matched: bool
 
-    def __post_init__(self):
-        if self.matched != (self.lhs == self.rhs):
-            raise ValueError("matched flag must equal exact lhs == rhs")
+    @property
+    def matched(self) -> bool:
+        """Exact lhs == rhs."""
+        return self.lhs == self.rhs
 
     def to_record(self) -> dict:
         return {
@@ -303,10 +303,9 @@ def verify_theorem(spec: BellSequenceSpec, r_max: int, n_max: int) -> list:
     if r_max < 1 or n_max < 1:
         raise ValueError("r_max and n_max must be at least 1")
     window = bell_transform(spec, n_max)
-    reports = []
-    for r in range(1, r_max + 1):
-        for n in range(1, n_max + 1):
-            lhs = convolution_oracle(window, r, n)
-            rhs = convolution_closed(spec, r, n)
-            reports.append(ConvolutionReport(r, n, lhs, rhs, lhs == rhs))
-    return reports
+    table = power_table(spec.c, n_max)
+    return [
+        ConvolutionReport(r, n, convolution_oracle(window, r, n), closed_form(spec, r, n, table))
+        for r in range(1, r_max + 1)
+        for n in range(1, n_max + 1)
+    ]

@@ -23,7 +23,7 @@ column sums over one table of truncated powers of g:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .bellpoly import bell_eval  # noqa: F401  unused; bench/tracing.py wraps seq.bell_eval by name
@@ -59,14 +59,12 @@ class RewrittenFormUndefined(ValueError):
 class BellSequenceSpec:
     """The triple (a, b, c) defining one sequence of the family.
 
-    c is 1-indexed and finite; entries past the end are zero.  The ring tag
-    is derived from c: "polynomial" when any entry is a Polynomial.
+    c is 1-indexed and finite; entries past the end are zero.
     """
 
     a: int
     b: int
     c: tuple
-    ring: str = field(default="", compare=False)
 
     def __post_init__(self):
         if not isinstance(self.a, int) or not isinstance(self.b, int):
@@ -77,10 +75,11 @@ class BellSequenceSpec:
         for cj in self.c:
             if not isinstance(cj, (int, Fraction, Polynomial)) or isinstance(cj, bool):
                 raise TypeError(f"exact coefficient expected, got {cj!r}")
-        tag = "polynomial" if any(isinstance(cj, Polynomial) for cj in self.c) else "rational"
-        if self.ring and self.ring != tag:
-            raise ValueError(f"ring tag {self.ring!r} does not match coefficients ({tag})")
-        object.__setattr__(self, "ring", tag)
+
+    @property
+    def ring(self) -> str:
+        """"polynomial" when any entry of c is a Polynomial, else "rational"."""
+        return "polynomial" if any(isinstance(cj, Polynomial) for cj in self.c) else "rational"
 
 
 @dataclass(frozen=True)
@@ -202,28 +201,14 @@ def bell_transform_rewritten(spec: BellSequenceSpec, N: int) -> SequenceWindow:
 
     Defined only when a*n + b*k + 1 != 0 on the whole 0 <= k <= n <= N range;
     the first offending pair (in lexicographic order) is reported otherwise.
-    Where defined it equals :func:`bell_transform`.
+    Where defined it is :func:`bell_transform`: with t = a*n + b*k + 1 != 0,
+    binom(t, k)/t = binom(t-1, k-1)/k for k >= 1, and the k = 0 term is [n = 0].
     """
-    if N < 0:
-        raise ValueError("N must be non-negative")
     for n in range(N + 1):
         for k in range(n + 1):
             if spec.a * n + spec.b * k + 1 == 0:
                 raise RewrittenFormUndefined(n, k)
-    table = power_table(spec.c, N)
-    values = []
-    for n in range(N + 1):
-        total = 0
-        for k in range(n + 1):
-            power = table[k][n]
-            if not power:
-                continue
-            t = spec.a * n + spec.b * k + 1
-            binom = generalized_binomial(t, k)
-            if binom:
-                total = total + Fraction(binom, t) * power
-        values.append(normalized(total))
-    return SequenceWindow(tuple(values), spec)
+    return bell_transform(spec, N)
 
 
 PRESET_NAMES = ("fibonacci", "tribonacci", "jacobsthal", "catalan", "motzkin", "fuss_catalan")

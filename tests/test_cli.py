@@ -1,8 +1,11 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellseq import cli
 from bellseq.ring import format_element, parse_element
@@ -16,7 +19,7 @@ def run_cli(capsys, *argv):
 
 def run_subprocess(*argv):
     return subprocess.run(
-        [sys.executable, "-m", "bellseq", *argv], capture_output=True, text=True
+        [sys.executable, "-m", "bellseq", *argv], capture_output=True, text=True, timeout=60
     )
 
 
@@ -77,6 +80,9 @@ class TestUsageErrors:
             ("seq", "--a", "1", "--b", "0", "--c", "1,,2", "--n", "3"),
             ("decompose", "--coeffs", "1,1", "--init", "1/0,1", "--n", "3"),
             ("bell", "--n", "4", "--k", "2", "--x", "1,,2"),
+            ("decompose", "--coeffs", "1,1,1", "--init", "0,1,2", "--n", "1"),
+            ("seq", "--preset", "catalan", "--param", "b=2", "--n", "3"),
+            ("conv", "--preset", "catalan", "--r", "30", "--n", "60"),
         ],
     )
     def test_exit_code_2(self, argv):
@@ -84,6 +90,48 @@ class TestUsageErrors:
         assert result.returncode == 2, result.stderr
         assert "Traceback" not in result.stderr
         assert sum("error:" in line for line in result.stderr.splitlines()) == 1
+
+
+digits = st.integers(0, 9).map(str)
+numbers = st.integers(0, 99).map(str)
+# a run of digits, "/", "x", "^" with one digit, signs and parentheses; the
+# empty run is the empty atom
+garbled_atoms = st.lists(
+    st.one_of(digits, st.sampled_from(list("/x+-()")), digits.map("^".__add__)), max_size=6
+).map("".join)
+# sums of signed p/q x^e terms, each part optional, so that near-misses such
+# as "3/0x" are drawn often, which a run of loose characters seldom spells
+terms = st.tuples(
+    st.sampled_from(["", "+", "-"]),
+    st.one_of(st.just(""), numbers),
+    st.one_of(st.just(""), numbers.map("/".__add__)),
+    st.one_of(st.just(""), st.just("x"), digits.map("x^".__add__)),
+).map("".join)
+sums = st.lists(terms, min_size=1, max_size=3).map("".join)
+c_atoms = st.one_of(garbled_atoms, sums, sums.map("({})".format))
+
+
+class TestCoefficientFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(c_atoms, min_size=1, max_size=3).map(",".join))
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("seq", "--a", "1", "--b", "0", "--n", "3"),
+            ("conv", "--a", "0", "--b", "1", "--r", "2", "--n", "3", "--closed-only"),
+        ],
+    )
+    def test_exits_0_or_2(self, argv, c):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main([*argv, f"--c={c}", "--format", "json"])
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2), err.getvalue()
+        if code == 0:
+            for rec in map(json.loads, out.getvalue().splitlines()):
+                assert format_element(parse_element(rec["value"])) == rec["value"]
 
 
 class TestConvCommand:

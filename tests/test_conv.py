@@ -366,9 +366,13 @@ class TestVerifyTheorem:
         }
 
     def test_inconsistent_flag_rejected(self):
-        with pytest.raises(ValueError):
+        # matched is derived from lhs and rhs, so no flag can be passed in
+        with pytest.raises(TypeError):
             ConvolutionReport(1, 1, Fraction(1), Fraction(1), False)
-        ConvolutionReport(1, 1, Fraction(1), Fraction(2), False)  # genuine mismatch is fine
+        assert ConvolutionReport(1, 1, Fraction(1), Fraction(1)).matched is True
+        assert ConvolutionReport(1, 1, Fraction(1), Fraction(2)).matched is False
+        assert ConvolutionReport(1, 1, 1 + X, 1 + X).matched is True
+        assert ConvolutionReport(1, 1, 1 + X, 1 + 2 * X).matched is False
 
     def test_bad_bounds(self):
         spec, _ = preset("catalan")

@@ -134,6 +134,11 @@ class TestGeneralizedBinomial:
                     t - 1, k
                 ) + generalized_binomial(t - 1, k - 1)
 
+    def test_absorption_rule(self):
+        for t in range(-15, 16):
+            for k in range(1, 11):
+                assert k * generalized_binomial(t, k) == t * generalized_binomial(t - 1, k - 1)
+
 
 class TestTextForm:
     @pytest.mark.parametrize(
