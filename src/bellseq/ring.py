@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Union
 
 __all__ = [
@@ -36,7 +37,7 @@ _Scalar = (int, Fraction)
 def _as_fraction(value) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise TypeError(f"exact coefficient expected, got {value!r}")
-    return Fraction(value)
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 class Polynomial:
@@ -71,6 +72,11 @@ class Polynomial:
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self._coeffs) - 1
+
+    @property
+    def denominator(self) -> int:
+        """Least common denominator of the coefficients; 1 for the zero polynomial."""
+        return lcm(*(c.denominator for c in self._coeffs))
 
     def coefficient(self, i: int) -> Fraction:
         if 0 <= i < len(self._coeffs):
@@ -120,6 +126,8 @@ class Polynomial:
         a, b = self._coeffs, other._coeffs
         if not a or not b:
             return Polynomial()
+        if len(b) == 1:
+            return Polynomial([ca * b[0] for ca in a])
         out = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:

@@ -14,17 +14,19 @@ fixed linear combination of shifted y values (the a=0, b=1 member).
 Every form is evaluated by one kernel.  With g(t) = sum_j c_j t^j,
 B_{n,k}(1!c_1, 2!c_2, ...) = n!/k! * [t^n] g(t)^k (Comtet, Advanced
 Combinatorics, 1974, section 3.3), so y_n and its r-fold convolution are
-column sums over one table of truncated powers of g:
+column sums over one table of truncated powers of D*g, D the common
+denominator of c, so that rational c costs integer work only:
 
     r * sum_{k=1..n} binom(a*n + b*k + r-1, k-1) / k * [t^n] g(t)^k
 
-(:func:`power_table` and :func:`closed_form`); y is the case r = 1.
+(:func:`power_table`; :func:`closed_form` divides once per value); y is r = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .bellpoly import bell_eval  # noqa: F401  unused; bench/tracing.py wraps seq.bell_eval by name
 from .ring import Polynomial, RingElement, X, generalized_binomial, normalized
@@ -146,13 +148,17 @@ class RecurrenceSpec:
         return len(self.coefficients)
 
 
-def power_table(c, N: int) -> list:
-    """table[k][n] = [t^n] g(t)^k for 0 <= k, n <= N, where g(t) = sum_j c_j t^j.
+def power_table(c, N: int) -> tuple:
+    """(D, T) with T[k][n] = [t^n] (D*g(t))^k for 0 <= k, n <= N, where
+    g(t) = sum_j c_j t^j and D is the lcm of the denominators in c_1..c_N
+    (of the coefficients, for Polynomial entries).
 
-    Row k is row k-1 times g, truncated at degree N; zero coefficients of g
-    are skipped, so the table costs O(N^2 * len(c)) ring operations.
+    Row k is row k-1 times D*g, truncated at degree N; zero coefficients of
+    g are skipped.  That is O(N^2 * len(c)) ring operations, int ones for
+    rational c.
     """
-    terms = [(j, cj) for j, cj in enumerate(c[:N], start=1) if cj]
+    D = lcm(*(cj.denominator for cj in c[:N]))
+    terms = [(j, normalized(D * cj)) for j, cj in enumerate(c[:N], start=1) if cj]
     table = [[1] + [0] * N]
     for k in range(1, N + 1):
         prev = table[-1]
@@ -164,26 +170,30 @@ def power_table(c, N: int) -> list:
                         break
                     row[i + j] = row[i + j] + prev[i] * cj
         table.append(row)
-    return table
+    return D, table
 
 
-def closed_form(spec: BellSequenceSpec, r: int, n: int, table: list) -> RingElement:
-    """r * sum_{k=1..n} binom(a*n + b*k + r-1, k-1) / k * table[k][n], and 1 at n = 0.
+def closed_form(spec: BellSequenceSpec, r: int, n: int, table: tuple) -> RingElement:
+    """r * sum_{k=1..n} binom(a*n + b*k + r-1, k-1) / k * [t^n] g^k, and 1 at n = 0.
 
-    table is a :func:`power_table` of spec.c covering index n.  At r = 1 this
-    is y_n; for r >= 1 it is the r-fold convolution of y at index n.
+    table is a :func:`power_table` (D, T) of spec.c covering index n; at
+    r = 1 this is y_n, for r >= 1 the r-fold convolution of y at index n.
+    With L = lcm(1..n) it sums binom * (L/k) * D^(n-k) * T[k][n], ints for
+    rational c, and divides once by L * D^n.
     """
     if n == 0:
         return 1
+    D, rows = table
+    L = lcm(*range(1, n + 1))
     total = 0
     for k in range(1, n + 1):
-        power = table[k][n]
+        power = rows[k][n]
         if not power:
             continue
         binom = generalized_binomial(spec.a * n + spec.b * k + r - 1, k - 1)
         if binom:
-            total = total + Fraction(r * binom, k) * power
-    return normalized(total)
+            total = total + binom * (L // k) * D ** (n - k) * power
+    return normalized(total * Fraction(r, L * D**n))
 
 
 def bell_transform(spec: BellSequenceSpec, N: int) -> SequenceWindow:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bellseq import cli
-from bellseq.ring import format_element, parse_element
+from bellseq.ring import Polynomial, format_element, parse_element
 from bellseq.seq import bell_transform, preset
 
 
@@ -111,6 +111,40 @@ sums = st.lists(terms, min_size=1, max_size=3).map("".join)
 c_atoms = st.one_of(garbled_atoms, sums, sums.map("({})".format))
 
 
+# the fuzzed atoms mixed with well-formed ones, so that lists of several
+# atoms still parse often enough to reach the library
+well_formed = st.one_of(
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=3).map(Polynomial),
+).map(format_element)
+
+
+def list_atoms(size: int):
+    """Comma-joined lists of exactly size atoms."""
+    return st.lists(st.one_of(c_atoms, well_formed), min_size=size, max_size=size).map(",".join)
+
+
+def assert_exits_0_or_2(argv):
+    """cli.main in-process with JSON output exits 0 or 2, and on 0 every ring
+    element printed (the "value", "lambdas" and "values" fields) round-trips
+    through parse_element and format_element."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main([*argv, "--format", "json"])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), err.getvalue()
+    if code == 0:
+        printed = []
+        for rec in map(json.loads, out.getvalue().splitlines()):
+            printed += [rec["value"]] if "value" in rec else []
+            printed += rec.get("lambdas", []) + rec.get("values", [])
+        assert printed
+        for value in printed:
+            assert format_element(parse_element(value)) == value
+
+
 class TestCoefficientFuzz:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(c_atoms, min_size=1, max_size=3).map(",".join))
@@ -122,16 +156,18 @@ class TestCoefficientFuzz:
         ],
     )
     def test_exits_0_or_2(self, argv, c):
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = cli.main([*argv, f"--c={c}", "--format", "json"])
-            except SystemExit as exc:
-                code = exc.code
-        assert code in (0, 2), err.getvalue()
-        if code == 0:
-            for rec in map(json.loads, out.getvalue().splitlines()):
-                assert format_element(parse_element(rec["value"])) == rec["value"]
+        assert_exits_0_or_2([*argv, f"--c={c}"])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(*[list_atoms(d)] * 2)))
+    def test_decompose_lists_exit_0_or_2(self, lists):
+        coeffs, init = lists
+        assert_exits_0_or_2(["decompose", f"--coeffs={coeffs}", f"--init={init}", "--n", "4"])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(3, 4).flatmap(list_atoms))
+    def test_bell_x_exits_0_or_2(self, x):
+        assert_exits_0_or_2(["bell", "--n", "4", "--k", "2", f"--x={x}", "--cross-check"])
 
 
 class TestConvCommand:

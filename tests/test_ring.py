@@ -93,6 +93,30 @@ class TestPolynomial:
         with pytest.raises(TypeError):
             Polynomial((0.5,))
 
+    @pytest.mark.parametrize("bad", [True, False, 0.5, 2.0])
+    def test_bool_and_float_rejected(self, bad):
+        with pytest.raises(TypeError):
+            Polynomial((1, bad))
+        with pytest.raises(TypeError):
+            (1 + X) * bad
+        with pytest.raises(TypeError):
+            bad * (1 + X)
+
+    @given(
+        st.lists(st.one_of(st.integers(-50, 50), fractions_st), max_size=6).map(Polynomial),
+        st.one_of(st.just(0), st.integers(-50, 50), fractions_st),
+    )
+    def test_scalar_product(self, p, s):
+        products = (p * s, s * p, p * Polynomial((s,)))
+        assert products[0] == products[1] == products[2]
+        for q in (p, Polynomial((s,))) + products:
+            assert all(type(c) is Fraction for c in q.coefficients)
+
+    def test_denominator(self):
+        assert Polynomial().denominator == 1
+        assert (1 + 4 * X).denominator == 1
+        assert Polynomial((Fraction(1, 4), 0, Fraction(-5, 6))).denominator == 12
+
     @given(polys_st, polys_st, polys_st)
     def test_ring_axioms(self, p, q, r):
         assert (p + q) + r == p + (q + r)
