@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .ring import RingElement, generalized_binomial
+from .ring import RingElement, generalized_binomial, normalized
 
 __all__ = [
     "MultiIndex",
@@ -118,7 +118,7 @@ class SymbolicBellPolynomial:
                 if a:
                     monomial = monomial * xs[i] ** a
             total = total + monomial
-        return total
+        return normalized(total)
 
     def __str__(self):
         if not self.terms:
@@ -185,7 +185,7 @@ def bell_eval_recurrence(n: int, k: int, xs) -> RingElement:
         memo[n_, k_] = total
         return total
 
-    return rec(n, k)
+    return normalized(rec(n, k))
 
 
 def bell_closed_two_term(n: int, k: int, c1: RingElement, c2: RingElement) -> RingElement:
@@ -197,7 +197,7 @@ def bell_closed_two_term(n: int, k: int, c1: RingElement, c2: RingElement) -> Ri
     if k > n or n - k > k:
         return 0
     scale = (factorial(n) // factorial(k)) * generalized_binomial(k, n - k)
-    return scale * c1 ** (2 * k - n) * c2 ** (n - k)
+    return normalized(scale * c1 ** (2 * k - n) * c2 ** (n - k))
 
 
 def bell_closed_three_term(n: int, k: int) -> int:

@@ -1,18 +1,19 @@
 """Exact arithmetic substrate: rationals, dense univariate polynomials, and
 generalized binomial coefficients.
 
-Every scalar handled by this package is an ``int``, a ``fractions.Fraction``,
-or a :class:`Polynomial` with Fraction coefficients.  The three types mix
-freely under ``+``, ``-``, ``*`` and ``**``; results are always exact and in
-canonical form (reduced fractions, trimmed coefficient lists).  Floating
-point never enters.
+Every value handled by this package is an ``int``, a ``fractions.Fraction``,
+or a :class:`Polynomial` with int and Fraction coefficients, and
+:func:`normalized` alone decides what is exact and puts it in canonical form
+(an int when integral, else a reduced Fraction).  The three types mix freely
+under ``+``, ``-``, ``*`` and ``**``; results are exact and canonical.
+Floating point never enters.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from typing import Iterable, Union
 
 __all__ = [
@@ -31,13 +32,20 @@ __all__ = [
 # zero stored as 0/1.
 Rational = Fraction
 
-_Scalar = (int, Fraction)
 
+def normalized(value: RingElement) -> RingElement:
+    """The one definition of an exact value: an int, a Fraction or a
+    Polynomial, never a bool; anything else raises TypeError.  Returns the
+    value in canonical form, an integral Fraction collapsed to int.
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise TypeError(f"exact coefficient expected, got {value!r}")
-    return value if isinstance(value, Fraction) else Fraction(value)
+    >>> normalized(Fraction(4, 2)), normalized(Fraction(1, 2))
+    (2, Fraction(1, 2))
+    """
+    if isinstance(value, (int, Polynomial)) and not isinstance(value, bool):
+        return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    raise TypeError(f"exact value expected, got {value!r}")
 
 
 class Polynomial:
@@ -45,7 +53,8 @@ class Polynomial:
 
     Coefficients are stored ascending: ``coefficients[i]`` multiplies
     ``x**i``.  The representation is canonical: the highest stored
-    coefficient is nonzero, and the zero polynomial stores nothing.
+    coefficient is nonzero, the zero polynomial stores nothing, and every
+    coefficient is in the canonical form of :func:`normalized`.
     Instances are immutable; a constant polynomial compares (and hashes)
     equal to the scalar it represents.
 
@@ -53,13 +62,17 @@ class Polynomial:
     >>> str(p)
     '1+4x'
     >>> p * p
-    Polynomial((Fraction(1, 1), Fraction(8, 1), Fraction(16, 1)))
+    Polynomial((1, 8, 16))
+    >>> p / 8
+    Polynomial((Fraction(1, 8), Fraction(1, 2)))
     """
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients: Iterable = ()):
-        coeffs = [_as_fraction(c) for c in coefficients]
+        coeffs = [normalized(c) for c in coefficients]
+        if Polynomial in map(type, coeffs):
+            raise TypeError("polynomial coefficients must be scalars")
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self._coeffs = tuple(coeffs)
@@ -78,17 +91,19 @@ class Polynomial:
         """Least common denominator of the coefficients; 1 for the zero polynomial."""
         return lcm(*(c.denominator for c in self._coeffs))
 
-    def coefficient(self, i: int) -> Fraction:
+    def coefficient(self, i: int):
         if 0 <= i < len(self._coeffs):
             return self._coeffs[i]
-        return Fraction(0)
+        return 0
 
     def _coerce(self, other):
+        """other as a Polynomial, or None when it is not an exact value."""
         if isinstance(other, Polynomial):
             return other
-        if isinstance(other, _Scalar) and not isinstance(other, bool):
+        try:
             return Polynomial((other,))
-        return None
+        except TypeError:
+            return None
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -114,10 +129,7 @@ class Polynomial:
         return self + (-other)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -128,7 +140,7 @@ class Polynomial:
             return Polynomial()
         if len(b) == 1:
             return Polynomial([ca * b[0] for ca in a])
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
@@ -138,13 +150,13 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        # scalar divisor only; polynomial division is out of scope
-        if isinstance(other, _Scalar) and not isinstance(other, bool):
-            if other == 0:
-                raise ZeroDivisionError("division of polynomial by zero")
-            inv = Fraction(1) / Fraction(other)
-            return Polynomial(tuple(c * inv for c in self._coeffs))
-        return NotImplemented
+        # constant divisor only; polynomial division is out of scope
+        other = self._coerce(other)
+        if other is None or other.degree > 0:
+            return NotImplemented
+        if not other:
+            raise ZeroDivisionError("division of polynomial by zero")
+        return self * Fraction(1, other._coeffs[0])
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or isinstance(exponent, bool) or exponent < 0:
@@ -161,17 +173,16 @@ class Polynomial:
 
     def __call__(self, value):
         """Evaluate by Horner's rule; ``value`` may itself be a polynomial."""
-        result = Fraction(0)
+        result = 0
         for c in reversed(self._coeffs):
             result = result * value + c
-        return result
+        return normalized(result)
 
     def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            return self._coeffs == other._coeffs
-        if isinstance(other, _Scalar) and not isinstance(other, bool):
-            return len(self._coeffs) <= 1 and self.coefficient(0) == other
-        return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._coeffs == other._coeffs
 
     def __hash__(self):
         if len(self._coeffs) <= 1:
@@ -219,34 +230,20 @@ def generalized_binomial(t: int, k: int) -> int:
     >>> generalized_binomial(-3, 3)
     -10
 
-    The division by k! is performed incrementally (divide by i at step i)
-    so every intermediate stays integral.
+    For t < 0 upper negation, binom(t, k) = (-1)^k binom(k-t-1, k), brings
+    it to ``math.comb``.
     """
     if k < 0:
         raise ValueError(f"lower index must be non-negative, got {k}")
-    result = 1
-    for i in range(1, k + 1):
-        result = result * (t - i + 1) // i
-    return result
-
-
-def normalized(value: RingElement) -> RingElement:
-    """Canonical scalar form: an integral Fraction collapses to int."""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return int(value)
-        return value
-    return value
+    if t >= 0:
+        return comb(t, k)
+    return (-1) ** k * comb(k - t - 1, k)
 
 
 def format_element(value: RingElement) -> str:
     """Canonical text form: ``p/q`` for rationals (``/q`` omitted when 1),
     ascending powers of ``x`` for polynomials, e.g. ``1+4x`` or ``3/2x^2``."""
-    if isinstance(value, Polynomial):
-        return str(value)
-    if isinstance(value, _Scalar) and not isinstance(value, bool):
-        return str(value)
-    raise TypeError(f"not a ring element: {value!r}")
+    return str(normalized(value))
 
 
 _TERM_RE = re.compile(r"([+-]?)(\d+(?:/\d+)?)?\*?(x(?:\^(\d+))?)?")
@@ -257,7 +254,8 @@ def parse_element(text: str) -> RingElement:
 
     Accepts integers, rationals ``p/q``, monomials ``kx`` / ``kx^e``, sums
     of these, and one level of surrounding parentheses, e.g. ``(1+2x)``.
-    Returns a Fraction unless ``x`` occurs, in which case a Polynomial.
+    Returns an int or a Fraction unless ``x`` occurs, in which case a
+    Polynomial.
     """
     s = text.strip().replace(" ", "")
     if s.startswith("(") and s.endswith(")"):
@@ -275,7 +273,7 @@ def parse_element(text: str) -> RingElement:
             raise ValueError(f"malformed term {term!r} in {text!r}")
         sign = -1 if m.group(1) == "-" else 1
         try:
-            coeff = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+            coeff = Fraction(m.group(2)) if m.group(2) else 1
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {text!r}") from None
         if m.group(3):
@@ -283,10 +281,10 @@ def parse_element(text: str) -> RingElement:
             exponent = int(m.group(4)) if m.group(4) else 1
         else:
             exponent = 0
-        coeffs[exponent] = coeffs.get(exponent, Fraction(0)) + sign * coeff
+        coeffs[exponent] = coeffs.get(exponent, 0) + sign * coeff
     if not saw_x:
-        return coeffs.get(0, Fraction(0))
-    out = [Fraction(0)] * (max(coeffs) + 1)
+        return normalized(coeffs.get(0, 0))
+    out = [0] * (max(coeffs) + 1)
     for e, c in coeffs.items():
         out[e] = c
     return Polynomial(out)

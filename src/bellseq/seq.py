@@ -15,7 +15,8 @@ Every form is evaluated by one kernel.  With g(t) = sum_j c_j t^j,
 B_{n,k}(1!c_1, 2!c_2, ...) = n!/k! * [t^n] g(t)^k (Comtet, Advanced
 Combinatorics, 1974, section 3.3), so y_n and its r-fold convolution are
 column sums over one table of truncated powers of D*g, D the common
-denominator of c, so that rational c costs integer work only:
+denominator of c, so that the table is integer work for rational and
+polynomial c alike:
 
     r * sum_{k=1..n} binom(a*n + b*k + r-1, k-1) / k * [t^n] g(t)^k
 
@@ -73,10 +74,7 @@ class BellSequenceSpec:
             raise TypeError("a and b must be integers")
         if self.a == 0 and self.b == 0:
             raise ValueError("a and b must not both be zero")
-        object.__setattr__(self, "c", tuple(self.c))
-        for cj in self.c:
-            if not isinstance(cj, (int, Fraction, Polynomial)) or isinstance(cj, bool):
-                raise TypeError(f"exact coefficient expected, got {cj!r}")
+        object.__setattr__(self, "c", tuple(map(normalized, self.c)))
 
     @property
     def ring(self) -> str:
@@ -130,8 +128,8 @@ class RecurrenceSpec:
     initial: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
-        object.__setattr__(self, "initial", tuple(self.initial))
+        object.__setattr__(self, "coefficients", tuple(map(normalized, self.coefficients)))
+        object.__setattr__(self, "initial", tuple(map(normalized, self.initial)))
         if len(self.coefficients) < 1:
             raise ValueError("recurrence order d must be at least 1")
         if len(self.coefficients) != len(self.initial):
@@ -139,9 +137,6 @@ class RecurrenceSpec:
                 f"coefficients and initial values must have equal length, "
                 f"got {len(self.coefficients)} and {len(self.initial)}"
             )
-        for v in self.coefficients + self.initial:
-            if not isinstance(v, (int, Fraction, Polynomial)) or isinstance(v, bool):
-                raise TypeError(f"exact coefficient expected, got {v!r}")
 
     @property
     def order(self) -> int:
@@ -154,8 +149,9 @@ def power_table(c, N: int) -> tuple:
     (of the coefficients, for Polynomial entries).
 
     Row k is row k-1 times D*g, truncated at degree N; zero coefficients of
-    g are skipped.  That is O(N^2 * len(c)) ring operations, int ones for
-    rational c.
+    g are skipped.  That is O(N^2 * len(c)) ring operations, all on ints:
+    each entry of T is an int for rational c, and a Polynomial with int
+    coefficients for polynomial c.
     """
     D = lcm(*(cj.denominator for cj in c[:N]))
     terms = [(j, normalized(D * cj)) for j, cj in enumerate(c[:N], start=1) if cj]
@@ -178,8 +174,8 @@ def closed_form(spec: BellSequenceSpec, r: int, n: int, table: tuple) -> RingEle
 
     table is a :func:`power_table` (D, T) of spec.c covering index n; at
     r = 1 this is y_n, for r >= 1 the r-fold convolution of y at index n.
-    With L = lcm(1..n) it sums binom * (L/k) * D^(n-k) * T[k][n], ints for
-    rational c, and divides once by L * D^n.
+    With L = lcm(1..n) it sums binom * (L/k) * D^(n-k) * T[k][n], an int
+    (or a Polynomial with int coefficients), and divides once by L * D^n.
     """
     if n == 0:
         return 1

@@ -17,6 +17,22 @@ from bellseq.bellpoly import bell_eval
 from bellseq.ring import Polynomial, X, generalized_binomial
 
 
+def falling_factorial_binomial(t, k):
+    """binom(t, k) as t(t-1)...(t-k+1) / k!, dividing by i at step i so every
+    intermediate stays integral; any integer t, k >= 0."""
+    result = 1
+    for i in range(1, k + 1):
+        result = result * (t - i + 1) // i
+    return result
+
+
+def is_canonical(value):
+    """The package's canonical form: an int or a Fraction with denominator > 1,
+    or a Polynomial whose coefficients all are."""
+    scalars = value.coefficients if isinstance(value, Polynomial) else (value,)
+    return all(type(v) is int or (type(v) is Fraction and v.denominator > 1) for v in scalars)
+
+
 def stirling2(n_max):
     """Triangle S(n, k) via S(n,k) = k*S(n-1,k) + S(n-1,k-1)."""
     table = [[1]]

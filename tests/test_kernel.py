@@ -17,7 +17,12 @@ from bellseq.seq import (
     power_table,
 )
 
-from _oracles import closed_form_by_enumeration, rewritten_by_enumeration, shifted_by_enumeration
+from _oracles import (
+    closed_form_by_enumeration,
+    is_canonical,
+    rewritten_by_enumeration,
+    shifted_by_enumeration,
+)
 
 # denominators up to 12, so that the table's scale D is an lcm of coprime ones
 scalars = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=12))
@@ -32,11 +37,11 @@ specs = (
 )
 
 
-def assert_scalar(c, *values):
-    """For c without Polynomial entries, every value is an int or a non-integral Fraction."""
-    if not any(isinstance(cj, Polynomial) for cj in c):
-        for v in values:
-            assert type(v) is int or (type(v) is Fraction and v.denominator > 1), repr(v)
+def assert_canonical(*values):
+    """Every value, and every coefficient of a Polynomial value, is an int or a
+    non-integral Fraction."""
+    for v in values:
+        assert is_canonical(v), repr(v)
 
 
 @settings(max_examples=60, deadline=None)
@@ -45,7 +50,7 @@ def test_bell_transform(spec, N):
     expected = [closed_form_by_enumeration(spec.a, spec.b, spec.c, 1, n) for n in range(1, N + 1)]
     values = bell_transform(spec, N).values
     assert list(values) == [1] + expected
-    assert_scalar(spec.c, *values)
+    assert_canonical(*values)
 
 
 @settings(max_examples=60, deadline=None)
@@ -58,7 +63,7 @@ def test_bell_transform_rewritten(spec, N):
         return
     expected = [rewritten_by_enumeration(spec.a, spec.b, spec.c, n) for n in range(N + 1)]
     assert list(values) == expected
-    assert_scalar(spec.c, *values)
+    assert_canonical(*values)
 
 
 @settings(max_examples=60, deadline=None)
@@ -67,7 +72,7 @@ def test_convolution_closed(spec, r, n):
     expected = closed_form_by_enumeration(spec.a, spec.b, spec.c, r, n)
     value = convolution_closed(spec, r, n)
     assert value == expected
-    assert_scalar(spec.c, value)
+    assert_canonical(value)
 
 
 @settings(max_examples=60, deadline=None)
@@ -75,7 +80,7 @@ def test_convolution_closed(spec, r, n):
 def test_shifted_convolution_closed(c, r, n, delta):
     value = shifted_convolution_closed(c, r, n, delta)
     assert value == shifted_by_enumeration(c, r, n, delta)
-    assert_scalar(c, value)
+    assert_canonical(value)
 
 
 RATIONAL_C = (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5), Fraction(1, 7))
@@ -108,3 +113,13 @@ def test_rational_table_is_integral():
     D, table = power_table(RATIONAL_C, 30)
     assert D == 210
     assert all(type(v) is int for row in table for v in row)
+
+
+def test_polynomial_table_is_integral():
+    c = (Polynomial((Fraction(1, 2), 1)), Fraction(-2, 3), Polynomial((0, Fraction(3, 4))))
+    D, table = power_table(c, 20)
+    assert D == 12
+    for row in table:
+        for v in row:
+            coefficients = v.coefficients if isinstance(v, Polynomial) else (v,)
+            assert all(type(x) is int for x in coefficients), repr(v)

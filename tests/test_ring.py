@@ -1,9 +1,11 @@
+import doctest
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import bellseq.ring
 from bellseq.ring import (
     Polynomial,
     Rational,
@@ -13,6 +15,8 @@ from bellseq.ring import (
     normalized,
     parse_element,
 )
+
+from _oracles import falling_factorial_binomial, is_canonical
 
 fractions_st = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 polys_st = st.lists(fractions_st, max_size=6).map(Polynomial)
@@ -73,7 +77,7 @@ class TestPolynomial:
     def test_evaluation_and_composition(self):
         p = 1 + 6 * X + 4 * X ** 2
         assert p(1) == 11
-        assert p(Fraction(1, 2)) == 5
+        assert p(Fraction(1, 2)) == 5 and type(p(Fraction(1, 2))) is int
         assert p(X + 1) == 11 + 14 * X + 4 * X ** 2
 
     def test_scalar_equality_and_hash(self):
@@ -110,7 +114,11 @@ class TestPolynomial:
         products = (p * s, s * p, p * Polynomial((s,)))
         assert products[0] == products[1] == products[2]
         for q in (p, Polynomial((s,))) + products:
-            assert all(type(c) is Fraction for c in q.coefficients)
+            assert is_canonical(q), repr(q)
+
+    def test_polynomial_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            Polynomial((1, X))
 
     def test_denominator(self):
         assert Polynomial().denominator == 1
@@ -163,6 +171,15 @@ class TestGeneralizedBinomial:
             for k in range(1, 11):
                 assert k * generalized_binomial(t, k) == t * generalized_binomial(t - 1, k - 1)
 
+    @given(st.integers(-200, 200), st.integers(0, 60))
+    def test_matches_falling_factorial(self, t, k):
+        assert generalized_binomial(t, k) == falling_factorial_binomial(t, k)
+
+
+def test_docstring_examples():
+    result = doctest.testmod(bellseq.ring)
+    assert result.attempted > 0 and result.failed == 0
+
 
 class TestTextForm:
     @pytest.mark.parametrize(
@@ -204,13 +221,18 @@ class TestTextForm:
 
     @given(polys_st)
     def test_round_trip_polynomials(self, p):
-        assert parse_element(format_element(p)) == p
+        parsed = parse_element(format_element(p))
+        assert parsed == p and is_canonical(parsed)
 
     @given(fractions_st)
     def test_round_trip_rationals(self, q):
-        assert parse_element(format_element(q)) == q
+        parsed = parse_element(format_element(q))
+        assert parsed == q and is_canonical(parsed)
 
     def test_normalized(self):
         assert normalized(Fraction(4, 2)) == 2 and isinstance(normalized(Fraction(4, 2)), int)
         assert normalized(Fraction(1, 2)) == Fraction(1, 2)
         assert normalized(1 + X) == 1 + X
+        for bad in (True, 0.5, "1", None):
+            with pytest.raises(TypeError):
+                normalized(bad)

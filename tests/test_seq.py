@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from bellseq.seq import (
 from _oracles import (
     catalan_list,
     fibonacci_list,
+    is_canonical,
     jacobsthal_polys,
     lucas_list,
     motzkin_list,
@@ -41,6 +43,25 @@ class TestSpecAndWindow:
             BellSequenceSpec(1.5, 0, (1,))
         with pytest.raises(TypeError):
             BellSequenceSpec(1, 0, (0.5,))
+
+    @pytest.mark.parametrize("bad", ["1/2", Decimal("0.25"), 1.5, True, None])
+    def test_inexact_values_rejected(self, bad):
+        with pytest.raises(TypeError):
+            Polynomial((1, bad))
+        with pytest.raises(TypeError):
+            BellSequenceSpec(0, 1, (1, bad))
+        with pytest.raises(TypeError):
+            RecurrenceSpec((1, bad), (0, 1))
+        with pytest.raises(TypeError):
+            RecurrenceSpec((1, 1), (0, bad))
+
+    def test_entries_canonical(self):
+        c = (Fraction(4, 2), Fraction(2, 4), Polynomial((Fraction(3, 1), 1)))
+        spec = BellSequenceSpec(0, 1, c)
+        rec = RecurrenceSpec((Fraction(6, 3), Fraction(1, 3)), (Fraction(0), 2 * X))
+        for v in spec.c + rec.coefficients + rec.initial:
+            assert is_canonical(v), repr(v)
+        assert spec.c == (2, Fraction(1, 2), 3 + X)
 
     def test_ring_tag_derivation(self):
         assert BellSequenceSpec(0, 1, (1, Fraction(1, 2))).ring == "rational"
