@@ -78,8 +78,12 @@ def enumerate_pi(n: int, k: int) -> list:
     length = n - k + 1
     out = []
     expo = [0] * length
+    # depth-first over positions, one frame [pos, parts_left, weight_left,
+    # next exponent] per position on the current path; the explicit stack
+    # keeps deep searches (n - k + 1 positions) off the interpreter's stack
+    stack = []
 
-    def fill(pos, parts_left, weight_left):
+    def enter(pos, parts_left, weight_left):
         if parts_left == 0:
             # untouched positions are still zero
             if weight_left == 0:
@@ -89,14 +93,20 @@ def enumerate_pi(n: int, k: int) -> list:
             return
         size = pos + 1
         # remaining parts have sizes in [size, length]
-        if not parts_left * size <= weight_left <= parts_left * length:
-            return
-        for a in range(min(parts_left, weight_left // size), -1, -1):
-            expo[pos] = a
-            fill(pos + 1, parts_left - a, weight_left - a * size)
-        expo[pos] = 0
+        if parts_left * size <= weight_left <= parts_left * length:
+            stack.append([pos, parts_left, weight_left, min(parts_left, weight_left // size)])
 
-    fill(0, k, n)
+    enter(0, k, n)
+    while stack:
+        frame = stack[-1]
+        pos, parts_left, weight_left, a = frame
+        if a < 0:
+            expo[pos] = 0
+            stack.pop()
+            continue
+        frame[3] = a - 1
+        expo[pos] = a
+        enter(pos + 1, parts_left - a, weight_left - a * (pos + 1))
     return out
 
 
@@ -141,7 +151,8 @@ def bell_symbolic(n: int, k: int) -> SymbolicBellPolynomial:
     for index in enumerate_pi(n, k):
         denom = 1
         for i, a in enumerate(index.exponents, start=1):
-            denom *= factorial(a) * factorial(i) ** a
+            if a:
+                denom *= factorial(a) * factorial(i) ** a
         terms.append((factorial(n) // denom, index))
     return SymbolicBellPolynomial(n, k, tuple(terms))
 
@@ -162,30 +173,22 @@ def bell_eval_recurrence(n: int, k: int, xs) -> RingElement:
     """B_{n,k}(xs) via B_{n,k} = sum_i binom(n-1, i-1) x_i B_{n-i,k-1}.
 
     Independent of :func:`bell_eval`; the two must agree on all inputs.
-    The (n, k) table is memoized per call, never globally.
+    The table is built bottom-up over k, one row of B_{m,k'} per k' <= k,
+    for the m that B_{n,k} reaches; nothing is kept between calls.
     """
     _check_nk(n, k)
     _check_args(n, k, xs)
-    memo = {}
-
-    def rec(n_, k_):
-        if k_ > n_:
-            return 0
-        if n_ == 0:
-            return 1
-        if k_ == 0:
-            return 0
-        try:
-            return memo[n_, k_]
-        except KeyError:
-            pass
-        total = 0
-        for i in range(1, n_ - k_ + 2):
-            total = total + generalized_binomial(n_ - 1, i - 1) * xs[i - 1] * rec(n_ - i, k_ - 1)
-        memo[n_, k_] = total
-        return total
-
-    return normalized(rec(n, k))
+    if k > n:
+        return 0
+    row = [1] + [0] * n  # B_{m,0} = [m = 0]
+    for kk in range(1, k + 1):
+        prev, row = row, [0] * (n + 1)
+        for m in range(kk, n - k + kk + 1):
+            total = 0
+            for i in range(1, m - kk + 2):
+                total = total + generalized_binomial(m - 1, i - 1) * xs[i - 1] * prev[m - i]
+            row[m] = total
+    return normalized(row[n])
 
 
 def bell_closed_two_term(n: int, k: int, c1: RingElement, c2: RingElement) -> RingElement:

@@ -5,8 +5,8 @@ Output goes to stdout as plain text, CSV, or one JSON object per line.
 Exit codes: 0 success / all checks matched, 1 a verification check failed,
 2 usage error.  Every usage error, whether argparse or the library rejects
 the request, exits 2 with one ``error:`` line on stderr; so does a
-``conv --check`` request whose oracle would visit more than
-MAX_COMPOSITIONS compositions.
+``conv --check`` request whose oracle would build more than
+MAX_ORACLE_PARTS composition parts.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from .bellpoly import bell_eval, bell_eval_recurrence, bell_symbolic
 from .ring import format_element, parse_element
 from .seq import PRESET_NAMES, BellSequenceSpec, RecurrenceSpec
 
-# largest oracle cost `conv --check` accepts: about a second of work
-MAX_COMPOSITIONS = 10**6
+# largest oracle cost `conv --check` accepts, in composition parts (each
+# visit builds and multiplies out an r-tuple): about a second of work
+MAX_ORACLE_PARTS = 2 * 10**6
 
 
 def _element_list(text: str) -> list:
@@ -199,12 +200,15 @@ def _cmd_conv(args, emitter) -> int:
             )
         return 0
 
-    # sum over n = 1..N of C(n + r - 1, r - 1) compositions
-    visits = comb(args.n + args.r, args.r) - 1
-    if visits > MAX_COMPOSITIONS:
+    # r parts for each of the C(N + r, r) - 1 compositions over n = 1..N;
+    # that is at least N * r^2, which spares computing a huge binomial
+    parts = args.n * args.r**2
+    if parts <= MAX_ORACLE_PARTS:
+        parts = args.r * (comb(args.n + args.r, args.r) - 1)
+    if parts > MAX_ORACLE_PARTS:
         raise ValueError(
-            f"--check would visit {visits} compositions, more than {MAX_COMPOSITIONS}; "
-            "use --closed-only"
+            f"--check would build at least {parts} composition parts, more than "
+            f"MAX_ORACLE_PARTS = {MAX_ORACLE_PARTS}; use --closed-only"
         )
     window = seq.bell_transform(spec, args.n)
     all_matched = True

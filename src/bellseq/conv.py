@@ -11,9 +11,8 @@ per-family formulas coded independently of the general one, and a numeric
 checker for the two-index Bell convolution identity they all rest on.
 
 Both closed forms are calls into the power-series kernel of :mod:`.seq`
-(:func:`~bellseq.seq.closed_form` over a :func:`~bellseq.seq.power_table`);
-only the oracle, the specialized formulas and the lemma checker compute on
-their own.
+(:func:`~bellseq.seq.closed_row`); only the oracle, the specialized formulas
+and the lemma checker compute on their own.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from fractions import Fraction
 
 from .bellpoly import bell_eval
 from .ring import RingElement, X, format_element, generalized_binomial, normalized
-from .seq import BellSequenceSpec, SequenceWindow, bell_transform, closed_form, power_table
+from .seq import BellSequenceSpec, SequenceWindow, bell_transform, closed_row
 
 __all__ = [
     "ConvolutionReport",
@@ -129,7 +128,7 @@ def convolution_closed(spec: BellSequenceSpec, r: int, n: int) -> RingElement:
         raise ValueError(
             "closed convolution form is stated for n >= 1 only; the n = 0 sum is 1"
         )
-    return closed_form(spec, r, n, power_table(spec.c, n))
+    return closed_row(spec, r, (n,))[0]
 
 
 def shifted_convolution_closed(c, r: int, n: int, delta: int) -> RingElement:
@@ -303,9 +302,9 @@ def verify_theorem(spec: BellSequenceSpec, r_max: int, n_max: int) -> list:
     if r_max < 1 or n_max < 1:
         raise ValueError("r_max and n_max must be at least 1")
     window = bell_transform(spec, n_max)
-    table = power_table(spec.c, n_max)
+    indices = range(1, n_max + 1)
     return [
-        ConvolutionReport(r, n, convolution_oracle(window, r, n), closed_form(spec, r, n, table))
+        ConvolutionReport(r, n, convolution_oracle(window, r, n), rhs)
         for r in range(1, r_max + 1)
-        for n in range(1, n_max + 1)
+        for n, rhs in zip(indices, closed_row(spec, r, indices))
     ]

@@ -77,6 +77,18 @@ class Polynomial:
             coeffs.pop()
         self._coeffs = tuple(coeffs)
 
+    @classmethod
+    def _exact(cls, coefficients: list) -> "Polynomial":
+        """A Polynomial from ints and Fractions that exact arithmetic on
+        canonical values produced: only an integral Fraction can be out of
+        canonical form, so it is collapsed, and nothing is validated."""
+        coeffs = [c if type(c) is int or c.denominator != 1 else c.numerator for c in coefficients]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        poly = object.__new__(cls)
+        poly._coeffs = tuple(coeffs)
+        return poly
+
     @property
     def coefficients(self) -> tuple:
         return self._coeffs
@@ -115,12 +127,12 @@ class Polynomial:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Polynomial(out)
+        return Polynomial._exact(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(tuple(-c for c in self._coeffs))
+        return Polynomial._exact([-c for c in self._coeffs])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -139,13 +151,13 @@ class Polynomial:
         if not a or not b:
             return Polynomial()
         if len(b) == 1:
-            return Polynomial([ca * b[0] for ca in a])
+            return Polynomial._exact([ca * b[0] for ca in a])
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return Polynomial(out)
+        return Polynomial._exact(out)
 
     __rmul__ = __mul__
 

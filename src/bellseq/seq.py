@@ -11,16 +11,21 @@ ring), Catalan, Motzkin, and the Fuss-Catalan family, and `decompose`
 expresses an arbitrary constant-coefficient linear recurrence sequence as a
 fixed linear combination of shifted y values (the a=0, b=1 member).
 
-Every form is evaluated by one kernel.  With g(t) = sum_j c_j t^j,
-B_{n,k}(1!c_1, 2!c_2, ...) = n!/k! * [t^n] g(t)^k (Comtet, Advanced
-Combinatorics, 1974, section 3.3), so y_n and its r-fold convolution are
-column sums over one table of truncated powers of D*g, D the common
-denominator of c, so that the table is integer work for rational and
-polynomial c alike:
+Every form is evaluated by one kernel, :func:`closed_row`.  With
+g(t) = sum_j c_j t^j, B_{n,k}(1!c_1, 2!c_2, ...) = n!/k! * [t^n] g(t)^k
+(Comtet, Advanced Combinatorics, 1974, section 3.3), so y_n and its r-fold
+convolution are column sums over one table of truncated powers of D*g:
 
     r * sum_{k=1..n} binom(a*n + b*k + r-1, k-1) / k * [t^n] g(t)^k
 
-(:func:`power_table`; :func:`closed_form` divides once per value); y is r = 1.
+and y is r = 1.  D, the common denominator of c, makes every D*c_j an int
+or a Polynomial with int coefficients.  Polynomials are packed into one int
+each at x = 2^B (Kronecker substitution, as in Schoenhage 1982 and Harvey,
+J. Symbolic Comput. 44, 2009), so the table and the weighted column sums
+are plain int arithmetic for both rings.  B comes from a norm pass, the
+same sums over the table of ||D*c_j||_1 with |binom| weights, which bound
+every coefficient; each sum is unpacked once, as balanced base-2^B digits,
+and divided once.
 """
 
 from __future__ import annotations
@@ -143,61 +148,124 @@ class RecurrenceSpec:
         return len(self.coefficients)
 
 
-def power_table(c, N: int) -> tuple:
-    """(D, T) with T[k][n] = [t^n] (D*g(t))^k for 0 <= k, n <= N, where
-    g(t) = sum_j c_j t^j and D is the lcm of the denominators in c_1..c_N
-    (of the coefficients, for Polynomial entries).
+def _scaled(c) -> tuple:
+    """(D, entries): D the lcm of the denominators in c (of the coefficients,
+    for Polynomial entries) and entries the pairs (j, D*c_j) with c_j != 0,
+    each an int or a Polynomial with int coefficients."""
+    D = lcm(*(cj.denominator for cj in c))
+    return D, [(j, normalized(D * cj)) for j, cj in enumerate(c, start=1) if cj]
 
-    Row k is row k-1 times D*g, truncated at degree N; zero coefficients of
-    g are skipped.  That is O(N^2 * len(c)) ring operations, all on ints:
-    each entry of T is an int for rational c, and a Polynomial with int
-    coefficients for polynomial c.
+
+def _powers(entries, N: int) -> list:
+    """T[k][n] = [t^n] (sum_j e_j t^j)^k for 0 <= k, n <= N, entries the
+    (j, e_j) with e_j a nonzero int, ascending in j.
+
+    Row k is row k-1 times the series, truncated at degree N; zero cells are
+    skipped.  That is O(N^2 * len(entries)) int operations.
     """
-    D = lcm(*(cj.denominator for cj in c[:N]))
-    terms = [(j, normalized(D * cj)) for j, cj in enumerate(c[:N], start=1) if cj]
     table = [[1] + [0] * N]
     for k in range(1, N + 1):
         prev = table[-1]
         row = [0] * (N + 1)
         for i in range(k - 1, N):
             if prev[i]:
-                for j, cj in terms:
+                for j, e in entries:
                     if i + j > N:
                         break
-                    row[i + j] = row[i + j] + prev[i] * cj
+                    row[i + j] += prev[i] * e
         table.append(row)
-    return D, table
+    return table
 
 
-def closed_form(spec: BellSequenceSpec, r: int, n: int, table: tuple) -> RingElement:
-    """r * sum_{k=1..n} binom(a*n + b*k + r-1, k-1) / k * [t^n] g^k, and 1 at n = 0.
-
-    table is a :func:`power_table` (D, T) of spec.c covering index n; at
-    r = 1 this is y_n, for r >= 1 the r-fold convolution of y at index n.
-    With L = lcm(1..n) it sums binom * (L/k) * D^(n-k) * T[k][n], an int
-    (or a Polynomial with int coefficients), and divides once by L * D^n.
-    """
-    if n == 0:
-        return 1
-    D, rows = table
+def _column(spec: BellSequenceSpec, r: int, n: int, D: int, table: list) -> tuple:
+    """(L, weights) for index n >= 1: L = lcm(1..n) and the pairs
+    (k, binom(a*n + b*k + r-1, k-1) * L/k * D^(n-k)) over the k with
+    table[k][n] and the binomial nonzero."""
     L = lcm(*range(1, n + 1))
-    total = 0
+    weights = []
     for k in range(1, n + 1):
-        power = rows[k][n]
-        if not power:
+        if table[k][n]:
+            binom = generalized_binomial(spec.a * n + spec.b * k + r - 1, k - 1)
+            if binom:
+                weights.append((k, binom * (L // k) * D ** (n - k)))
+    return L, weights
+
+
+def _pack(entry: RingElement, B: int) -> int:
+    """An int or int-coefficient Polynomial entry at x = 2^B; the identity on ints."""
+    return entry(1 << B) if isinstance(entry, Polynomial) else entry
+
+
+def _norm(entry: RingElement) -> int:
+    """||entry||_1, the sum of the absolute values of its coefficients."""
+    return sum(map(abs, entry.coefficients)) if isinstance(entry, Polynomial) else abs(entry)
+
+
+def _digits(value: int, B: int) -> list:
+    """The balanced base-2^B digits of value, lowest first, each in
+    [-2^(B-1), 2^(B-1)): the coefficients of the polynomial packed into value
+    at x = 2^B when they all lie in that range.  For B >= 2 there are at most
+    bits(value)/B + 2 of them (zeros may trail), and for B = 1 value is 0."""
+    digits = []
+    half = 1 << (B - 1)
+    for _ in range(value.bit_length() // B + 2):
+        digit = ((value + half) & ((1 << B) - 1)) - half
+        digits.append(digit)
+        value = (value - digit) >> B
+    return digits
+
+
+def closed_row(spec: BellSequenceSpec, r: int, indices) -> list:
+    """r * sum_{k=1..n} binom(a*n + b*k + r-1, k-1) / k * [t^n] g^k (1 at n = 0)
+    for each n of indices, an increasing sequence of non-negative ints.
+
+    At r = 1 this is y_n, for r >= 1 the r-fold convolution of y at index n.
+    One table T[k][n] = [t^n] (D*g)^k serves every index; with L = lcm(1..n)
+    each value is the int sum_k binom * (L/k) * D^(n-k) * T[k][n], unpacked
+    when c has Polynomial entries, divided once by L * D^n.  The norm pass
+    bounds every coefficient of every sum, so B = bits(bound) + 1, the +1
+    for the sign, keeps the packing exact.
+    """
+    N = max(indices, default=0)
+    D, entries = _scaled(spec.c[:N])
+    poly = [j for j, e in entries if isinstance(e, Polynomial)]
+    if poly:
+        norms = _powers([(j, _norm(e)) for j, e in entries], N)
+        columns = [_column(spec, r, n, D, norms) for n in indices]
+        bound = max(sum(abs(w) * norms[k][n] for k, w in ws)
+                    for n, (_, ws) in zip(indices, columns))
+        B = bound.bit_length() + 1
+        table = _powers([(j, _pack(e, B)) for j, e in entries], N)
+    else:
+        table = _powers(entries, N)
+        columns = [_column(spec, r, n, D, table) for n in indices]
+    values = []
+    for n, (L, ws) in zip(indices, columns):
+        if n == 0:
+            values.append(1)
             continue
-        binom = generalized_binomial(spec.a * n + spec.b * k + r - 1, k - 1)
-        if binom:
-            total = total + binom * (L // k) * D ** (n - k) * power
-    return normalized(total * Fraction(r, L * D**n))
+        total = 0
+        for k, w in ws:
+            total += w * table[k][n]
+        denominator = L * D**n
+        # a Polynomial, as Polynomial arithmetic would give it, exactly when
+        # some nonzero term of the sum has a Polynomial factor c_j (B bounds
+        # the coefficients of every T[k][n] with a weight, so its packed
+        # value is 0 only when it is)
+        if poly and any(table[k][n] and any(norms[k - 1][n - j] for j in poly if j <= n)
+                        for k, _ in ws):
+            digits = _digits(total, B)
+            values.append(Polynomial([Fraction(r * digit, denominator) for digit in digits]))
+        else:
+            values.append(normalized(Fraction(r * total, denominator)))
+    return values
 
 
 def bell_transform(spec: BellSequenceSpec, N: int) -> SequenceWindow:
     """y_0..y_N of the family defined by spec, exactly."""
     if N < 0:
         raise ValueError("N must be non-negative")
-    table = power_table(spec.c, N)
-    return SequenceWindow(tuple(closed_form(spec, 1, n, table) for n in range(N + 1)), spec)
+    return SequenceWindow(tuple(closed_row(spec, 1, range(N + 1))), spec)
 
 
 def bell_transform_rewritten(spec: BellSequenceSpec, N: int) -> SequenceWindow:

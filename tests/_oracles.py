@@ -2,19 +2,20 @@
 
 Everything here is computed by a different route than the code under test:
 triangle recurrences, defining sequence recurrences, exhaustive enumeration
-via itertools, and the paper's partial-Bell-polynomial definitions evaluated
+via itertools, the paper's partial-Bell-polynomial definitions evaluated
 by enumerating the index set pi(n, k) (``bell_eval``) instead of through the
-power-series kernel.  Only the exact-arithmetic substrate (Fraction,
-Polynomial, generalized_binomial) and ``bell_eval`` are shared with the
-package.
+power-series kernel, and that kernel's table of truncated powers built in
+``Polynomial`` arithmetic, with no packing into ints.  Only the
+exact-arithmetic substrate (Fraction, Polynomial, generalized_binomial) and
+``bell_eval`` are shared with the package.
 """
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from bellseq.bellpoly import bell_eval
-from bellseq.ring import Polynomial, X, generalized_binomial
+from bellseq.ring import Polynomial, X, generalized_binomial, normalized
 
 
 def falling_factorial_binomial(t, k):
@@ -186,3 +187,43 @@ def shifted_by_enumeration(c, r, n, delta):
         weight = Fraction(generalized_binomial(k + r - 1, k) * factorial(k), factorial(m))
         total = total + weight * bell_eval(m, k, args)
     return total
+
+
+def power_table(c, N):
+    """(D, T) with T[k][n] = [t^n] (D*g(t))^k for 0 <= k, n <= N, where
+    g(t) = sum_j c_j t^j and D is the lcm of the denominators in c_1..c_N (of
+    the coefficients, for Polynomial entries), row by row in ring arithmetic:
+    each entry is an int, or a Polynomial with int coefficients."""
+    D = lcm(*(cj.denominator for cj in c[:N]))
+    terms = [(j, normalized(D * cj)) for j, cj in enumerate(c[:N], start=1) if cj]
+    table = [[1] + [0] * N]
+    for k in range(1, N + 1):
+        prev = table[-1]
+        row = [0] * (N + 1)
+        for i in range(k - 1, N):
+            if prev[i]:
+                for j, cj in terms:
+                    if i + j > N:
+                        break
+                    row[i + j] = row[i + j] + prev[i] * cj
+        table.append(row)
+    return D, table
+
+
+def closed_form_by_table(a, b, r, n, table):
+    """r * sum_{k=1..n} binom(a n + b k + r-1, k-1)/k [t^n] g^k over a
+    :func:`power_table` (D, T), as sum_k binom (L/k) D^(n-k) T[k][n] divided
+    once by L D^n, L = lcm(1..n); 1 at n = 0."""
+    if n == 0:
+        return 1
+    D, rows = table
+    L = lcm(*range(1, n + 1))
+    total = 0
+    for k in range(1, n + 1):
+        power = rows[k][n]
+        if not power:
+            continue
+        binom = generalized_binomial(a * n + b * k + r - 1, k - 1)
+        if binom:
+            total = total + binom * (L // k) * D ** (n - k) * power
+    return normalized(total * Fraction(r, L * D**n))

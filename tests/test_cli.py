@@ -83,6 +83,7 @@ class TestUsageErrors:
             ("decompose", "--coeffs", "1,1,1", "--init", "0,1,2", "--n", "1"),
             ("seq", "--preset", "catalan", "--param", "b=2", "--n", "3"),
             ("conv", "--preset", "catalan", "--r", "30", "--n", "60"),
+            ("conv", "--preset", "catalan", "--r", "100000", "--n", "1"),
         ],
     )
     def test_exit_code_2(self, argv):
@@ -279,6 +280,18 @@ class TestBellCommand:
         )
         assert code == 0
         assert json.loads(out) == {"kind": "bellpoly", "n": 3, "k": 2, "value": "12x"}
+
+    def test_deep_symbolic(self):
+        # pi(1200, 1) is searched over n - k + 1 = 1200 positions
+        result = run_subprocess("bell", "--n", "1200", "--k", "1", "--symbolic")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "x1200"
+
+    def test_deep_cross_check(self):
+        # the recurrence descends k = 1200 levels
+        result = run_subprocess("bell", "--n", "1200", "--k", "1200", "--x", "1", "--cross-check")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "1 (cross-check: ok)"
 
     def test_cross_check_mismatch_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr("bellseq.cli.bell_eval_recurrence", lambda n, k, xs: -1)

@@ -1,25 +1,31 @@
 """The power-series kernel against the paper's definitions evaluated by
 enumerating pi(n, k) (see _oracles.py), on random rational and polynomial
-specs, and at large N against identities that need no enumeration."""
+specs, at large N against identities that need no enumeration, and, with
+large coefficients, against the same table built in Polynomial arithmetic."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bellseq.conv import convolution_closed, shifted_convolution_closed
-from bellseq.ring import Polynomial
+from bellseq.ring import Polynomial, X
 from bellseq.seq import (
     BellSequenceSpec,
     RewrittenFormUndefined,
+    _pack,
+    _powers,
+    _scaled,
     bell_transform,
     bell_transform_rewritten,
-    power_table,
+    closed_row,
 )
 
 from _oracles import (
     closed_form_by_enumeration,
+    closed_form_by_table,
     is_canonical,
+    power_table,
     rewritten_by_enumeration,
     shifted_by_enumeration,
 )
@@ -110,16 +116,71 @@ def test_convolution_closed_is_cauchy_power(r):
 
 
 def test_rational_table_is_integral():
-    D, table = power_table(RATIONAL_C, 30)
+    D, entries = _scaled(RATIONAL_C)
     assert D == 210
+    table = _powers([(j, _pack(e, 64)) for j, e in entries], 30)
     assert all(type(v) is int for row in table for v in row)
 
 
 def test_polynomial_table_is_integral():
     c = (Polynomial((Fraction(1, 2), 1)), Fraction(-2, 3), Polynomial((0, Fraction(3, 4))))
-    D, table = power_table(c, 20)
+    D, entries = _scaled(c)
     assert D == 12
-    for row in table:
-        for v in row:
-            coefficients = v.coefficients if isinstance(v, Polynomial) else (v,)
-            assert all(type(x) is int for x in coefficients), repr(v)
+    packed = [(j, _pack(e, 64)) for j, e in entries]
+    assert all(type(e) is int for _, e in packed)
+    table = _powers(packed, 20)
+    assert all(type(v) is int for row in table for v in row)
+
+
+def assert_matches_table(spec, r, N):
+    """closed_row over 0..N equals the Polynomial-arithmetic table's column
+    sums, with the same type unless the value is zero."""
+    table = power_table(spec.c, N)
+    expected = [closed_form_by_table(spec.a, spec.b, r, n, table) for n in range(N + 1)]
+    values = closed_row(spec, r, range(N + 1))
+    assert values == expected
+    for v, e in zip(values, expected):
+        assert type(v) is type(e) or v == 0, (v, e)
+    assert_canonical(*values)
+
+
+big_scalars = st.fractions(min_value=-10**9, max_value=10**9, max_denominator=12)
+big_polys = st.lists(big_scalars, min_size=1, max_size=5).map(Polynomial)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(-5, 5),
+    st.integers(-5, 5),
+    st.lists(st.one_of(big_scalars, big_polys), min_size=1, max_size=4),
+    st.integers(1, 40),
+    st.integers(0, 8),
+)
+# T[3][5] = 3 c_1^2 c_3 + 3 c_1 c_2^2 cancels to the zero Polynomial and
+# T[2][5] has weight 0, so the value at n = 5 has int terms only: an int
+@example(0, -2, [1, 1, Polynomial((-1,))], 5, 6)
+def test_packed_kernel_matches_polynomial_table(a, b, c, r, N):
+    if a == 0 and b == 0:
+        b = 1
+    assert_matches_table(BellSequenceSpec(a, b, c), r, N)
+
+
+positive = st.fractions(min_value=Fraction(1, 12), max_value=10**9, max_denominator=12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.lists(positive, min_size=1, max_size=4),
+    st.integers(1, 40),
+    st.integers(1, 8),
+)
+def test_packed_kernel_tight_bound(a, b, q, r, N):
+    # entries q_j x^j with q_j > 0 and weights binom(a n + b k + r-1, k-1) >= 0:
+    # each column sum is one monomial whose coefficient is the column's norm
+    # sum, and the largest of them is the bound itself, so B needs its sign bit
+    if a == 0 and b == 0:
+        b = 1
+    c = [qj * X**j for j, qj in enumerate(q, start=1)]
+    assert_matches_table(BellSequenceSpec(a, b, c), r, N)
