@@ -158,7 +158,7 @@ def _scaled(c) -> tuple:
 
 def _powers(entries, N: int) -> list:
     """T[k][n] = [t^n] (sum_j e_j t^j)^k for 0 <= k, n <= N, entries the
-    (j, e_j) with e_j a nonzero int, ascending in j.
+    (j, e_j) with e_j an int, ascending in j.
 
     Row k is row k-1 times the series, truncated at degree N; zero cells are
     skipped.  That is O(N^2 * len(entries)) int operations.
