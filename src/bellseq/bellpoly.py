@@ -78,35 +78,25 @@ def enumerate_pi(n: int, k: int) -> list:
     length = n - k + 1
     out = []
     expo = [0] * length
-    # depth-first over positions, one frame [pos, parts_left, weight_left,
-    # next exponent] per position on the current path; the explicit stack
-    # keeps deep searches (n - k + 1 positions) off the interpreter's stack
-    stack = []
 
-    def enter(pos, parts_left, weight_left):
-        if parts_left == 0:
+    # one frame per distinct part size s on the current path, taken upward
+    # from low: s is the smallest of the parts still to place and none
+    # exceeds length; as 1 + 2 + ... + d <= n, at most sqrt(2n) + 1 frames
+    def fill(low, parts, weight):
+        if parts == 0:
             # untouched positions are still zero
-            if weight_left == 0:
+            if weight == 0:
                 out.append(MultiIndex(tuple(expo), n, k))
             return
-        if pos == length:
-            return
-        size = pos + 1
-        # remaining parts have sizes in [size, length]
-        if parts_left * size <= weight_left <= parts_left * length:
-            stack.append([pos, parts_left, weight_left, min(parts_left, weight_left // size)])
+        for s in range(max(low, weight - (parts - 1) * length), weight // parts + 1):
+            for a in range(min(parts, weight // s), 0, -1):
+                rest = parts - a
+                if rest * (s + 1) <= weight - a * s <= rest * length:
+                    expo[s - 1] = a
+                    fill(s + 1, rest, weight - a * s)
+            expo[s - 1] = 0
 
-    enter(0, k, n)
-    while stack:
-        frame = stack[-1]
-        pos, parts_left, weight_left, a = frame
-        if a < 0:
-            expo[pos] = 0
-            stack.pop()
-            continue
-        frame[3] = a - 1
-        expo[pos] = a
-        enter(pos + 1, parts_left - a, weight_left - a * (pos + 1))
+    fill(1, k, n)
     return out
 
 

@@ -6,7 +6,8 @@ Exit codes: 0 success / all checks matched, 1 a verification check failed,
 2 usage error.  Every usage error, whether argparse or the library rejects
 the request, exits 2 with one ``error:`` line on stderr; so does a
 ``conv --check`` request whose oracle would build more than
-MAX_ORACLE_PARTS composition parts.
+MAX_ORACLE_PARTS composition parts, and a ``bell`` request whose B_{n,k}
+has more than MAX_BELL_EXPONENTS exponents over all its terms.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from .seq import PRESET_NAMES, BellSequenceSpec, RecurrenceSpec
 # largest oracle cost `conv --check` accepts, in composition parts (each
 # visit builds and multiplies out an r-tuple): about a second of work
 MAX_ORACLE_PARTS = 2 * 10**6
+# largest enumeration `bell` accepts, in exponents written (p(n, k) terms of
+# n - k + 1 exponents each): about a second of work
+MAX_BELL_EXPONENTS = 2 * 10**6
 
 
 def _element_list(text: str) -> list:
@@ -80,6 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_spec_flags(p_seq)
     p_seq.add_argument("--n", type=_non_negative, required=True)
     p_seq.add_argument("--apply-offset", action="store_true")
+    p_seq.set_defaults(handler=_cmd_seq)
 
     p_conv = sub.add_parser("conv", parents=[common],
                           help="r-fold convolution: verify closed form against the oracle")
@@ -92,12 +97,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compare against the composition oracle (default)")
     group.add_argument("--closed-only", action="store_true",
                        help="print closed-form values without the oracle")
+    p_conv.set_defaults(handler=_cmd_conv)
 
     p_dec = sub.add_parser("decompose", parents=[common],
                          help="express a linear recurrence via shifted y values")
     p_dec.add_argument("--coeffs", type=_element_list, required=True, metavar="LIST")
     p_dec.add_argument("--init", type=_element_list, required=True, metavar="LIST")
     p_dec.add_argument("--n", type=_non_negative, required=True)
+    p_dec.set_defaults(handler=_cmd_decompose)
 
     p_bell = sub.add_parser("bell", parents=[common],
                           help="partial Bell polynomial, symbolic or evaluated")
@@ -106,6 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bell.add_argument("--symbolic", action="store_true")
     p_bell.add_argument("--x", type=_element_list, default=None, metavar="LIST")
     p_bell.add_argument("--cross-check", action="store_true")
+    p_bell.set_defaults(handler=_cmd_bell)
 
     return parser
 
@@ -252,16 +260,34 @@ def _cmd_decompose(args, emitter) -> int:
     return 0 if ok else 1
 
 
+def _partition_count(n: int, k: int) -> int:
+    """p(n, k), the partitions of n into exactly k parts: those of n - k into
+    parts of size at most k."""
+    if k > n:
+        return 0
+    ways = [1] + [0] * (n - k)
+    for size in range(1, min(k, n - k) + 1):
+        for w in range(size, n - k + 1):
+            ways[w] += ways[w - size]
+    return ways[n - k]
+
+
 def _cmd_bell(args, emitter) -> int:
     n, k = args.n, args.k
+    if args.symbolic and args.x is not None:
+        raise ValueError("--symbolic conflicts with --x")
+    if not args.symbolic and args.x is None:
+        raise ValueError("either --symbolic or --x is required")
+    exponents = _partition_count(n, k) * (n - k + 1)
+    if exponents > MAX_BELL_EXPONENTS:
+        raise ValueError(
+            f"B_({n},{k}) has {exponents} exponents over its terms, more than "
+            f"MAX_BELL_EXPONENTS = {MAX_BELL_EXPONENTS}"
+        )
     if args.symbolic:
-        if args.x is not None:
-            raise ValueError("--symbolic conflicts with --x")
         text = str(bell_symbolic(n, k))
         emitter.emit({"kind": "bellpoly", "n": n, "k": k, "terms": text}, text)
         return 0
-    if args.x is None:
-        raise ValueError("either --symbolic or --x is required")
     value = bell_eval(n, k, args.x)
     record = {"kind": "bellpoly", "n": n, "k": k, "value": format_element(value)}
     plain = record["value"]
@@ -274,20 +300,18 @@ def _cmd_bell(args, emitter) -> int:
     return 0 if ok else 1
 
 
+# built once; the handlers look up the library functions they call at call
+# time, so a patched conv.convolution_closed or bell_eval_recurrence is seen
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     emitter = _Emitter(args.format, args.quiet, sys.stdout)
-    handler = {
-        "seq": _cmd_seq,
-        "conv": _cmd_conv,
-        "decompose": _cmd_decompose,
-        "bell": _cmd_bell,
-    }[args.command]
     try:
-        return handler(args, emitter)
+        return args.handler(args, emitter)
     except ValueError as exc:
-        parser.error(str(exc))
+        _PARSER.error(str(exc))
 
 
 def run():

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bellpoly import bell_eval
+from .bellpoly import bell_closed_three_term, bell_eval
 from .ring import RingElement, X, format_element, generalized_binomial, normalized
 from .seq import BellSequenceSpec, SequenceWindow, bell_transform, closed_row
 
@@ -191,15 +191,10 @@ def convolution_closed_specialized(
             for k in range(n - r + 1)
         )
     if family == "tribonacci":
-        total = 0
-        for k in range(n - 2 * r + 1):
-            base = generalized_binomial(k + r - 1, k)
-            for l in range(k + 1):
-                j = n - 2 * r - k - l
-                if j < 0:
-                    continue
-                total += base * generalized_binomial(k, l) * generalized_binomial(l, j)
-        return total
+        return sum(
+            generalized_binomial(k + r - 1, k) * bell_closed_three_term(n - 2 * r, k)
+            for k in range(n - 2 * r + 1)
+        )
     if family == "jacobsthal":
         total = 0
         two_x = 2 * X
@@ -265,17 +260,13 @@ def lemma_identity_check(alpha_coeffs, tau: int, n: int, k: int, xs) -> bool:
     def alpha(l, m):
         return p * l + q * m + s
 
-    for l in range(k + 1):
-        for m in range(l, n + 1):
-            a = alpha(l, m)
-            if a == 0 or tau - a == 0:
-                raise LemmaGuardError(l, m)
-
     lhs = 0
     for l in range(k + 1):
         choose_l = generalized_binomial(k, l)
         for m in range(l, n + 1):
             a = alpha(l, m)
+            if a == 0 or tau - a == 0:
+                raise LemmaGuardError(l, m)
             numer = (
                 generalized_binomial(a, k - l)
                 * generalized_binomial(tau - a, l)

@@ -35,6 +35,7 @@ from fractions import Fraction
 from math import lcm
 
 from .bellpoly import bell_eval  # noqa: F401  unused; bench/tracing.py wraps seq.bell_eval by name
+from .bellpoly import bell_closed_three_term
 from .ring import Polynomial, RingElement, X, generalized_binomial, normalized
 
 __all__ = [
@@ -365,14 +366,7 @@ def binomial_double_sum_tribonacci(n: int) -> int:
     """t_n as the closed double sum over binom(k, l) * binom(l, n-2-k-l)."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    total = 0
-    for k in range(n - 1):
-        for l in range(k + 1):
-            j = n - 2 - k - l
-            if j < 0:
-                continue
-            total += generalized_binomial(k, l) * generalized_binomial(l, j)
-    return total
+    return sum(bell_closed_three_term(n - 2, k) for k in range(n - 1))
 
 
 def jacobsthal_closed(n: int) -> Polynomial:

@@ -71,6 +71,18 @@ def partition_count(n, k, _memo={}):
     return _memo[key]
 
 
+def iterative_partition_count(n, k):
+    """p(n, k) with no recursion: taking one from each of the k parts leaves
+    a partition of n - k into parts of size at most k."""
+    if k > n:
+        return 0
+    ways = [1] + [0] * (n - k)  # ways[w]: partitions of w into parts <= size
+    for size in range(1, k + 1):
+        for w in range(size, n - k + 1):
+            ways[w] += ways[w - size]
+    return ways[n - k]
+
+
 def run_recurrence(coeffs, init, n_max):
     """a_n = sum_i coeffs[i-1] * a_{n-i} from the given initial values."""
     vals = list(init)

@@ -1,5 +1,8 @@
 import random
+import sys
+import types
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +18,35 @@ from bellseq.bellpoly import (
 )
 from bellseq.ring import X
 
-from _oracles import bell_numbers, partition_count, random_fraction, stirling2
+from _oracles import (
+    bell_numbers,
+    iterative_partition_count,
+    partition_count,
+    random_fraction,
+    stirling2,
+)
+
+
+def search_depth(n, k):
+    """(most frames of enumerate_pi's inner search open at once, its result)."""
+    inner = {c for c in enumerate_pi.__code__.co_consts if isinstance(c, types.CodeType)}
+    deepest = 0
+
+    def profile(frame, event, arg):
+        nonlocal deepest
+        if event == "call" and frame.f_code in inner:
+            depth = 0
+            while frame is not None:
+                depth += frame.f_code in inner
+                frame = frame.f_back
+            deepest = max(deepest, depth)
+
+    sys.setprofile(profile)
+    try:
+        indices = enumerate_pi(n, k)
+    finally:
+        sys.setprofile(None)
+    return deepest, indices
 
 
 class TestEnumeratePi:
@@ -54,6 +85,34 @@ class TestEnumeratePi:
                 vecs = [mi.exponents for mi in enumerate_pi(n, k)]
                 assert vecs == sorted(vecs, reverse=True)
                 assert len(set(vecs)) == len(vecs)
+
+    def test_search_depth_is_distinct_part_sizes(self):
+        # one frame per distinct part size and 1 + 2 + ... + d <= n, so the
+        # search never holds more than isqrt(2n) + 1 frames
+        for n in range(25):
+            for k in range(n + 2):
+                deepest, indices = search_depth(n, k)
+                assert deepest <= isqrt(2 * n) + 1, (n, k)
+                assert len(indices) == partition_count(n, k)
+        # 21 = 1 + 2 + ... + 6 reaches the bound
+        assert search_depth(21, 6)[0] == isqrt(42) + 1
+
+    @pytest.mark.parametrize("k", [1, 2, 1160, 1190, 1199, 1200])
+    def test_n_1200_under_tight_recursion_limit(self, k):
+        # 60 frames hold the isqrt(2400) + 1 = 49 search frames and the calls
+        # that build a MultiIndex, not a search over n - k + 1 positions
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 60)
+        try:
+            indices = enumerate_pi(1200, k)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(indices) == iterative_partition_count(1200, k)
+        vecs = [mi.exponents for mi in indices]
+        assert vecs == sorted(vecs, reverse=True)
 
     def test_multiindex_validation(self):
         with pytest.raises(ValueError):

@@ -3,13 +3,16 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bellseq import cli
 from bellseq.ring import Polynomial, format_element, parse_element
 from bellseq.seq import bell_transform, preset
+
+from _oracles import iterative_partition_count
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +87,7 @@ class TestUsageErrors:
             ("seq", "--preset", "catalan", "--param", "b=2", "--n", "3"),
             ("conv", "--preset", "catalan", "--r", "30", "--n", "60"),
             ("conv", "--preset", "catalan", "--r", "100000", "--n", "1"),
+            ("bell", "--n", "120", "--k", "30", "--symbolic"),
         ],
     )
     def test_exit_code_2(self, argv):
@@ -169,6 +173,35 @@ class TestCoefficientFuzz:
     @given(st.integers(3, 4).flatmap(list_atoms))
     def test_bell_x_exits_0_or_2(self, x):
         assert_exits_0_or_2(["bell", "--n", "4", "--k", "2", f"--x={x}", "--cross-check"])
+
+
+class TestBellSizeFuzz:
+    # every request either runs within the enumeration bound or is refused
+    # up front, so no example may hang
+    @settings(max_examples=60, deadline=timedelta(seconds=10))
+    @given(
+        st.integers(0, 1500).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+        st.booleans(),
+    )
+    @example((1200, 1), True)
+    @example((1200, 2), True)
+    @example((1200, 1200), False)
+    @example((120, 30), True)
+    def test_exits_0_or_2(self, nk, symbolic):
+        n, k = nk
+        xs = ",".join(["1", "-2", "1/3", "x"][i % 4] for i in range(n - k + 1))
+        argv = ["bell", "--n", str(n), "--k", str(k)]
+        argv += ["--symbolic"] if symbolic else [f"--x={xs}"]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        refused = iterative_partition_count(n, k) * (n - k + 1) > cli.MAX_BELL_EXPONENTS
+        assert (code == 2) == refused
 
 
 class TestConvCommand:
