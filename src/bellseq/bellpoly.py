@@ -19,7 +19,6 @@ from math import factorial
 from .ring import RingElement, generalized_binomial, normalized
 
 __all__ = [
-    "MultiIndex",
     "SymbolicBellPolynomial",
     "enumerate_pi",
     "bell_symbolic",
@@ -28,28 +27,6 @@ __all__ = [
     "bell_closed_two_term",
     "bell_closed_three_term",
 ]
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """Exponent vector of one B_{n,k} monomial: alpha_i parts of size i."""
-
-    exponents: tuple
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if len(self.exponents) != self.n - self.k + 1:
-            raise ValueError(
-                f"exponent vector must have length n-k+1 = {self.n - self.k + 1}, "
-                f"got {len(self.exponents)}"
-            )
-        if any(a < 0 for a in self.exponents):
-            raise ValueError("exponents must be non-negative")
-        if sum(self.exponents) != self.k:
-            raise ValueError(f"exponents must sum to k = {self.k}")
-        if sum(i * a for i, a in enumerate(self.exponents, start=1)) != self.n:
-            raise ValueError(f"weighted exponent sum must equal n = {self.n}")
 
 
 def _check_nk(n: int, k: int) -> None:
@@ -66,11 +43,11 @@ def _check_args(n: int, k: int, xs) -> None:
 
 
 def enumerate_pi(n: int, k: int) -> list:
-    """All multi-indices alpha with sum(alpha) = k and sum(i*alpha_i) = n.
+    """All exponent tuples alpha, of length n-k+1, with sum(alpha) = k and
+    sum(i*alpha_i) = n: alpha_i parts of size i.
 
     Bijective with the partitions of n into exactly k parts.  Returned in
-    descending lexicographic order on the exponent vector; k > n yields the
-    empty list.
+    descending lexicographic order; k > n yields the empty list.
     """
     _check_nk(n, k)
     if k > n:
@@ -86,7 +63,7 @@ def enumerate_pi(n: int, k: int) -> list:
         if parts == 0:
             # untouched positions are still zero
             if weight == 0:
-                out.append(MultiIndex(tuple(expo), n, k))
+                out.append(tuple(expo))
             return
         for s in range(max(low, weight - (parts - 1) * length), weight // parts + 1):
             for a in range(min(parts, weight // s), 0, -1):
@@ -102,7 +79,7 @@ def enumerate_pi(n: int, k: int) -> list:
 
 @dataclass(frozen=True)
 class SymbolicBellPolynomial:
-    """B_{n,k} as a list of (integer coefficient, MultiIndex) terms."""
+    """B_{n,k} as (integer coefficient, exponent tuple) terms."""
 
     n: int
     k: int
@@ -112,9 +89,9 @@ class SymbolicBellPolynomial:
         """Substitute xs[i-1] for x_i; extra entries beyond n-k+1 are ignored."""
         _check_args(self.n, self.k, xs)
         total = 0
-        for coeff, index in self.terms:
+        for coeff, exponents in self.terms:
             monomial = coeff
-            for i, a in enumerate(index.exponents):
+            for i, a in enumerate(exponents):
                 if a:
                     monomial = monomial * xs[i] ** a
             total = total + monomial
@@ -124,9 +101,9 @@ class SymbolicBellPolynomial:
         if not self.terms:
             return "0"
         rendered = []
-        for coeff, index in self.terms:
+        for coeff, exponents in self.terms:
             factors = [] if coeff == 1 else [str(coeff)]
-            for i, a in enumerate(index.exponents, start=1):
+            for i, a in enumerate(exponents, start=1):
                 if a == 0:
                     continue
                 factors.append(f"x{i}" if a == 1 else f"x{i}^{a}")
@@ -138,12 +115,12 @@ def bell_symbolic(n: int, k: int) -> SymbolicBellPolynomial:
     """Symbolic B_{n,k}; term order follows :func:`enumerate_pi`."""
     _check_nk(n, k)
     terms = []
-    for index in enumerate_pi(n, k):
+    for exponents in enumerate_pi(n, k):
         denom = 1
-        for i, a in enumerate(index.exponents, start=1):
+        for i, a in enumerate(exponents, start=1):
             if a:
                 denom *= factorial(a) * factorial(i) ** a
-        terms.append((factorial(n) // denom, index))
+        terms.append((factorial(n) // denom, exponents))
     return SymbolicBellPolynomial(n, k, tuple(terms))
 
 
@@ -163,8 +140,9 @@ def bell_eval_recurrence(n: int, k: int, xs) -> RingElement:
     """B_{n,k}(xs) via B_{n,k} = sum_i binom(n-1, i-1) x_i B_{n-i,k-1}.
 
     Independent of :func:`bell_eval`; the two must agree on all inputs.
-    The table is built bottom-up over k, one row of B_{m,k'} per k' <= k,
-    for the m that B_{n,k} reaches; nothing is kept between calls.
+    The table is built bottom-up over k: one row of B_{m,k'} per k' < k, for
+    the m that B_{n,k} reaches, then B_{n,k} alone.  A term whose B_{m-i,k'-1}
+    cell is zero is skipped.  Nothing is kept between calls.
     """
     _check_nk(n, k)
     _check_args(n, k, xs)
@@ -173,10 +151,11 @@ def bell_eval_recurrence(n: int, k: int, xs) -> RingElement:
     row = [1] + [0] * n  # B_{m,0} = [m = 0]
     for kk in range(1, k + 1):
         prev, row = row, [0] * (n + 1)
-        for m in range(kk, n - k + kk + 1):
+        for m in range(kk if kk < k else n, n - k + kk + 1):
             total = 0
             for i in range(1, m - kk + 2):
-                total = total + generalized_binomial(m - 1, i - 1) * xs[i - 1] * prev[m - i]
+                if prev[m - i]:
+                    total = total + generalized_binomial(m - 1, i - 1) * xs[i - 1] * prev[m - i]
             row[m] = total
     return normalized(row[n])
 

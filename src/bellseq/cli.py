@@ -276,6 +276,8 @@ def _cmd_bell(args, emitter) -> int:
     n, k = args.n, args.k
     if args.symbolic and args.x is not None:
         raise ValueError("--symbolic conflicts with --x")
+    if args.symbolic and args.cross_check:
+        raise ValueError("--symbolic conflicts with --cross-check")
     if not args.symbolic and args.x is None:
         raise ValueError("either --symbolic or --x is required")
     exponents = _partition_count(n, k) * (n - k + 1)

@@ -88,6 +88,7 @@ class TestUsageErrors:
             ("conv", "--preset", "catalan", "--r", "30", "--n", "60"),
             ("conv", "--preset", "catalan", "--r", "100000", "--n", "1"),
             ("bell", "--n", "120", "--k", "30", "--symbolic"),
+            ("bell", "--n", "4", "--k", "2", "--symbolic", "--cross-check"),
         ],
     )
     def test_exit_code_2(self, argv):
@@ -320,11 +321,22 @@ class TestBellCommand:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "x1200"
 
-    def test_deep_cross_check(self):
-        # the recurrence descends k = 1200 levels
-        result = run_subprocess("bell", "--n", "1200", "--k", "1200", "--x", "1", "--cross-check")
+    @pytest.mark.parametrize(
+        "n, k, xs, value",
+        [
+            # the recurrence descends k = 1200 levels
+            (1200, 1200, "1", "1"),
+            # B_{n,1} = x_n and B_{n,2}(1, 1, ...) = S(n, 2) = 2^(n-1) - 1: the
+            # recurrence reads one nonzero cell of B_{m,0} per m
+            (1500, 1, ",".join(map(str, range(1, 1501))), "1500"),
+            (2000, 2, ",".join(["1"] * 1999), str(2**1999 - 1)),
+        ],
+        ids=["1200-1200", "1500-1", "2000-2"],
+    )
+    def test_deep_cross_check(self, n, k, xs, value):
+        result = run_subprocess("bell", "--n", str(n), "--k", str(k), "--x", xs, "--cross-check")
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "1 (cross-check: ok)"
+        assert result.stdout.strip() == f"{value} (cross-check: ok)"
 
     def test_cross_check_mismatch_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr("bellseq.cli.bell_eval_recurrence", lambda n, k, xs: -1)
