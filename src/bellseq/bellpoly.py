@@ -114,13 +114,16 @@ class SymbolicBellPolynomial:
 def bell_symbolic(n: int, k: int) -> SymbolicBellPolynomial:
     """Symbolic B_{n,k}; term order follows :func:`enumerate_pi`."""
     _check_nk(n, k)
+    fact = [1]  # fact[i] = i! for 0 <= i <= n; every alpha_i and i is at most n
+    for i in range(1, n + 1):
+        fact.append(fact[-1] * i)
     terms = []
     for exponents in enumerate_pi(n, k):
         denom = 1
         for i, a in enumerate(exponents, start=1):
             if a:
-                denom *= factorial(a) * factorial(i) ** a
-        terms.append((factorial(n) // denom, exponents))
+                denom *= fact[a] * fact[i] ** a
+        terms.append((fact[n] // denom, exponents))
     return SymbolicBellPolynomial(n, k, tuple(terms))
 
 

@@ -193,14 +193,18 @@ def _cmd_conv(args, emitter) -> int:
     if args.delta > 0 and (spec.a != 0 or spec.b != 1):
         raise ValueError("shift formula stated for a=0, b=1 family")
 
-    def closed(r, n):
-        if args.delta > 0:
-            return conv.shifted_convolution_closed(spec.c, r, n, args.delta)
-        return conv.convolution_closed(spec, r, n)
-
     if args.closed_only:
-        for n in range(1, args.n + 1):
-            v = closed(args.r, n)
+        indices = range(1, args.n + 1)
+        if args.delta > 0:
+            # the shifted row is the a=0, b=1 row at m = n - delta*r: 1 at
+            # m = 0 and 0 below
+            ms = [n - args.delta * args.r for n in indices]
+            wanted = [m for m in ms if m > 0]
+            row = dict(zip(wanted, seq.closed_row(BellSequenceSpec(0, 1, spec.c), args.r, wanted)))
+            values = [row[m] if m > 0 else int(m == 0) for m in ms]
+        else:
+            values = seq.closed_row(spec, args.r, indices)
+        for n, v in zip(indices, values):
             text = format_element(v)
             emitter.emit(
                 {"kind": "convolution", "r": args.r, "n": n, "value": text},
@@ -218,6 +222,13 @@ def _cmd_conv(args, emitter) -> int:
             f"--check would build at least {parts} composition parts, more than "
             f"MAX_ORACLE_PARTS = {MAX_ORACLE_PARTS}; use --closed-only"
         )
+    # the closed side stays one library call per index, so that a patched
+    # conv.convolution_closed is what the check compares with
+    def closed(r, n):
+        if args.delta > 0:
+            return conv.shifted_convolution_closed(spec.c, r, n, args.delta)
+        return conv.convolution_closed(spec, r, n)
+
     window = seq.bell_transform(spec, args.n)
     all_matched = True
     for n in range(1, args.n + 1):

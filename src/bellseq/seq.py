@@ -11,16 +11,30 @@ ring), Catalan, Motzkin, and the Fuss-Catalan family, and `decompose`
 expresses an arbitrary constant-coefficient linear recurrence sequence as a
 fixed linear combination of shifted y values (the a=0, b=1 member).
 
-Every form is evaluated by one kernel, :func:`closed_row`.  With
-g(t) = sum_j c_j t^j, B_{n,k}(1!c_1, 2!c_2, ...) = n!/k! * [t^n] g(t)^k
-(Comtet, Advanced Combinatorics, 1974, section 3.3), so y_n and its r-fold
-convolution are column sums over one table of truncated powers of D*g:
+Two routes evaluate the family.  With g(t) = sum_j c_j t^j,
+B_{n,k}(1!c_1, 2!c_2, ...) = n!/k! * [t^n] g(t)^k (Comtet, Advanced
+Combinatorics, 1974, section 3.3), so y_n and its r-fold convolution are
+column sums over one table of truncated powers of D*g:
 
     r * sum_{k=1..n} binom(a*n + b*k + r-1, k-1) / k * [t^n] g(t)^k
 
-and y is r = 1.  D, the common denominator of c, makes every D*c_j an int
-or a Polynomial with int coefficients.  Polynomials are packed into one int
-each at x = 2^B (Kronecker substitution, as in Schoenhage 1982 and Harvey,
+and y is r = 1.  By Lagrange-Buermann inversion (Comtet, section 3.8;
+Graham, Knuth and Patashnik, Concrete Mathematics, section 5.4) y is also
+the one power series with
+
+    y = 1 + sum_j c_j t^j y^(a*j + b),
+
+whose coefficients come one at a time, each power of y extended by
+J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, section 4.7) in
+O(N^2) int products per distinct exponent a*j + b, with no binomial.
+:func:`bell_transform` takes that route for rational c (and so do the
+rewritten form, :func:`decompose` with rational coefficients, and the
+oracle's window); :func:`closed_row` computes every convolution closed form
+and the windows with Polynomial entries.
+
+In :func:`closed_row`, D, the common denominator of c, makes every D*c_j
+an int or a Polynomial with int coefficients.  Polynomials are packed into
+one int each at x = 2^B (Kronecker substitution, as in Schoenhage 1982 and Harvey,
 J. Symbolic Comput. 44, 2009), so the table and the weighted column sums
 are plain int arithmetic for both rings.  B comes from a norm pass, the
 same sums over the table of ||D*c_j||_1 with |binom| weights, which bound
@@ -262,11 +276,58 @@ def closed_row(spec: BellSequenceSpec, r: int, indices) -> list:
     return values
 
 
+def _functional_row(spec: BellSequenceSpec, N: int) -> list:
+    """y_0..y_N for rational c, from y = 1 + sum_j c_j t^j y^(a*j + b).
+
+    With E the common denominator of c, the series y(E t) has the int
+    coefficients z_m = E^m y_m and satisfies the same equation with the int
+    entries E^j c_j.  Each z_m reads only z_0..z_(m-1): alpha = a*j + b = 0 gives
+    [m = j], alpha = 1 gives z_(m-j), and every other distinct alpha keeps
+    the row P = z^alpha, extended by Miller's recurrence
+    m P_m = sum_{i=1..m} ((alpha+1) i - m) z_i P_(m-i), exact in ints as z_0 = 1.
+    """
+    E, entries = _scaled(spec.c[:N])
+    terms = [(j, e * E ** (j - 1), spec.a * j + spec.b) for j, e in entries]
+    powers = {alpha: [1] for _, _, alpha in terms if alpha not in (0, 1)}
+    z = [1]
+    for m in range(1, N + 1):
+        total = 0
+        for j, e, alpha in terms:
+            if j > m:
+                break
+            if alpha == 1:
+                total += e * z[m - j]
+            elif alpha:
+                total += e * powers[alpha][m - j]
+            elif j == m:
+                total += e
+        z.append(total)
+        if m == N:
+            break
+        for alpha, P in powers.items():
+            s = 0
+            for i in range(1, m + 1):
+                s += ((alpha + 1) * i - m) * z[i] * P[m - i]
+            P_m, rest = divmod(s, m)
+            assert not rest, "Miller's recurrence must divide exactly"
+            P.append(P_m)
+    values, scale = [], 1
+    for z_m in z:
+        values.append(normalized(Fraction(z_m, scale)))
+        scale *= E
+    return values
+
+
 def bell_transform(spec: BellSequenceSpec, N: int) -> SequenceWindow:
-    """y_0..y_N of the family defined by spec, exactly."""
+    """y_0..y_N of the family defined by spec, exactly: from the functional
+    equation for rational c, from :func:`closed_row` at r = 1 otherwise."""
     if N < 0:
         raise ValueError("N must be non-negative")
-    return SequenceWindow(tuple(closed_row(spec, 1, range(N + 1))), spec)
+    if spec.ring == "rational":
+        values = _functional_row(spec, N)
+    else:
+        values = closed_row(spec, 1, range(N + 1))
+    return SequenceWindow(tuple(values), spec)
 
 
 def bell_transform_rewritten(spec: BellSequenceSpec, N: int) -> SequenceWindow:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -245,6 +246,15 @@ class TestConvCommand:
         values = [json.loads(line)["value"] for line in out.splitlines()]
         assert values == ["4", "14", "48"]
 
+    def test_deep_closed_only_row(self):
+        # one kernel call for the whole row; y_n is the Catalan number C_(n+1)
+        result = run_subprocess("conv", "--preset", "catalan", "--r", "1", "--n", "600",
+                                "--closed-only")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            f"r=1 n={n} {comb(2 * n + 2, n + 1) // (n + 2)}" for n in range(1, 601)
+        ]
+
     def test_mismatch_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr("bellseq.conv.convolution_closed", lambda spec, r, n: 424242)
         code, out = run_cli(capsys, "conv", "--preset", "catalan", "--r", "2", "--n", "3")
@@ -320,6 +330,16 @@ class TestBellCommand:
         result = run_subprocess("bell", "--n", "1200", "--k", "1", "--symbolic")
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "x1200"
+
+    def test_deep_symbolic_large_coefficients(self):
+        # p(1500, 1460) = p(40) terms of 41 exponents; the first has 1459 parts
+        # of size 1 and one of size 41, so its coefficient is 1500!/(1459! 41!)
+        result = run_subprocess("bell", "--n", "1500", "--k", "1460", "--symbolic")
+        assert result.returncode == 0, result.stderr
+        terms = result.stdout.strip().split(" + ")
+        assert len(terms) == iterative_partition_count(1500, 1460) == 37338
+        assert len(terms) * 41 == 1_530_858
+        assert terms[0] == f"{comb(1500, 41)}*x1^1459*x41"
 
     @pytest.mark.parametrize(
         "n, k, xs, value",

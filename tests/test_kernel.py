@@ -1,9 +1,12 @@
 """The power-series kernel against the paper's definitions evaluated by
 enumerating pi(n, k) (see _oracles.py), on random rational and polynomial
 specs, at large N against identities that need no enumeration, and, with
-large coefficients, against the same table built in Polynomial arithmetic."""
+large coefficients, against the same table built in Polynomial arithmetic.
+The rational window, which comes from the functional equation instead, is
+checked against the kernel in value and type."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +22,8 @@ from bellseq.seq import (
     bell_transform,
     bell_transform_rewritten,
     closed_row,
+    fuss_catalan_closed,
+    preset,
 )
 
 from _oracles import (
@@ -87,6 +92,39 @@ def test_shifted_convolution_closed(c, r, n, delta):
     value = shifted_convolution_closed(c, r, n, delta)
     assert value == shifted_by_enumeration(c, r, n, delta)
     assert_canonical(value)
+
+
+rational_entries = st.one_of(
+    st.just(0), st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=12)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-5, 5), st.integers(-5, 5), st.lists(rational_entries, max_size=5),
+       st.integers(0, 12))
+# a*j + b runs through 0 (j = 1), 1 (j = 2) and 2 (j = 3)
+@example(1, -1, [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 12)], 12)
+def test_rational_window_equals_kernel(a, b, c, N):
+    if a == 0 and b == 0:
+        b = 1
+    spec = BellSequenceSpec(a, b, c)
+    values = list(bell_transform(spec, N).values)
+    expected = closed_row(spec, 1, range(N + 1))
+    assert values == expected
+    assert [type(v) for v in values] == [type(e) for e in expected]
+    assert_canonical(*values)
+
+
+def test_catalan_window_at_large_N():
+    y = bell_transform(preset("catalan")[0], 300).values
+    assert list(y) == [comb(2 * n + 2, n + 1) // (n + 2) for n in range(301)]
+
+
+@pytest.mark.parametrize("b", [-3, 4])
+def test_fuss_catalan_window_at_large_N(b):
+    # one entry, so the window needs the power y^b alone
+    y = bell_transform(preset("fuss_catalan", b)[0], 150).values
+    assert list(y) == [fuss_catalan_closed(b, n) for n in range(151)]
 
 
 RATIONAL_C = (Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5), Fraction(1, 7))
