@@ -171,35 +171,68 @@ def _scaled(c) -> tuple:
     return D, [(j, normalized(D * cj)) for j, cj in enumerate(c, start=1) if cj]
 
 
-def _powers(entries, N: int) -> list:
-    """T[k][n] = [t^n] (sum_j e_j t^j)^k for 0 <= k, n <= N, entries the
-    (j, e_j) with e_j an int, ascending in j.
+_UNIT = ((1,),)  # the table to N = 0
 
-    Row k is row k-1 times the series, truncated at degree N; zero cells are
-    skipped.  That is O(N^2 * len(entries)) int operations.
+
+def _powers(entries, N: int, columns=_UNIT) -> list:
+    """Columns T[n][k] = [t^n] (sum_j e_j t^j)^k for 0 <= k <= n <= N (the
+    cells with k > n are zero), entries the (j, e_j) with j >= 1 and e_j an
+    int, ascending in j.
+
+    columns holds T[0..M] for some M; the columns M+1..N are appended to a
+    copy, each from the ones before it, T[n][k] = sum_j e_j T[n-j][k-1], so
+    the given columns are never changed, and returned as they are when
+    M >= N.  That is O((N^2 - M^2) * len(entries)) int operations.
     """
-    table = [[1] + [0] * N]
-    for k in range(1, N + 1):
-        prev = table[-1]
-        row = [0] * (N + 1)
-        for i in range(k - 1, N):
-            if prev[i]:
-                for j, e in entries:
-                    if i + j > N:
-                        break
-                    row[i + j] += prev[i] * e
-        table.append(row)
-    return table
+    if len(columns) > N:
+        return columns
+    columns = list(columns)
+    for n in range(len(columns), N + 1):
+        column = [0] * (n + 1)
+        for j, e in entries:
+            if j > n:
+                break
+            for k, power in enumerate(columns[n - j], start=1):
+                if power:
+                    column[k] += e * power
+        columns.append(column)
+    return columns
 
 
-def _column(spec: BellSequenceSpec, r: int, n: int, D: int, table: list) -> tuple:
-    """(L, weights) for index n >= 1: L = lcm(1..n) and the pairs
-    (k, binom(a*n + b*k + r-1, k-1) * L/k * D^(n-k)) over the k with
-    table[k][n] and the binomial nonzero."""
+# (c, D, entries, T) of the last rational-ring table, T to M and D, entries
+# those of _scaled(c[:M]): replaced, never changed
+_last_table = None
+
+
+def _rational_table(c, N: int) -> tuple:
+    """(D, T) for rational c: T the columns of :func:`_powers` for the
+    entries D*c_j, to N or beyond, and the last table from now on.  The last
+    table is reused when it has the same c, and extended past its M when
+    the c_j with M < j <= N, if any, scale to ints by its D as well."""
+    global _last_table
+    last = _last_table
+    if last is not None and last[0] == c:
+        _, D, entries, table = last
+        if len(table) <= min(N, len(c)):  # some c_j with M < j <= N
+            D_N, entries = _scaled(c[:N])
+            if D_N != D:
+                D, table = D_N, _UNIT
+    else:
+        D, entries = _scaled(c[:N])
+        table = _UNIT
+    table = _powers(entries, N, table)
+    _last_table = c, D, entries, table
+    return D, table
+
+
+def _column(spec: BellSequenceSpec, r: int, n: int, D: int, column: list) -> tuple:
+    """(L, weights) for index n >= 1 and column T[n]: L = lcm(1..n) and the
+    pairs (k, binom(a*n + b*k + r-1, k-1) * L/k * D^(n-k)) over the k with
+    T[n][k] and the binomial nonzero."""
     L = lcm(*range(1, n + 1))
     weights = []
     for k in range(1, n + 1):
-        if table[k][n]:
+        if column[k]:
             binom = generalized_binomial(spec.a * n + spec.b * k + r - 1, k - 1)
             if binom:
                 weights.append((k, binom * (L // k) * D ** (n - k)))
@@ -235,39 +268,50 @@ def closed_row(spec: BellSequenceSpec, r: int, indices) -> list:
     for each n of indices, an increasing sequence of non-negative ints.
 
     At r = 1 this is y_n, for r >= 1 the r-fold convolution of y at index n.
-    One table T[k][n] = [t^n] (D*g)^k serves every index; with L = lcm(1..n)
-    each value is the int sum_k binom * (L/k) * D^(n-k) * T[k][n], unpacked
+    One table T[n][k] = [t^n] (D*g)^k serves every index; with L = lcm(1..n)
+    each value is the int sum_k binom * (L/k) * D^(n-k) * T[n][k], unpacked
     when c has Polynomial entries, divided once by L * D^n.  The norm pass
     bounds every coefficient of every sum, so B = bits(bound) + 1, the +1
     for the sign, keeps the packing exact.
+
+    The table depends on c alone, so in the rational ring the last one is
+    kept (see :func:`_rational_table`): calls that walk n one index at a
+    time, or r, build one table between them, not one each.  Any D that
+    scales c_1..c_N to ints gives the same values.  One table at most is
+    kept, up to the largest N asked of its c; it is replaced, never
+    changed, so threads may share it.  With Polynomial entries B depends on
+    the indices asked for, and every call builds its own tables.
     """
     N = max(indices, default=0)
-    D, entries = _scaled(spec.c[:N])
-    poly = [j for j, e in entries if isinstance(e, Polynomial)]
+    poly = ()
+    if spec.ring == "rational":
+        D, table = _rational_table(spec.c, N)
+    else:
+        D, entries = _scaled(spec.c[:N])
+        poly = [j for j, e in entries if isinstance(e, Polynomial)]
+        table = _powers([(j, _norm(e)) for j, e in entries] if poly else entries, N)
+    weights = [_column(spec, r, n, D, table[n]) for n in indices]
     if poly:
-        norms = _powers([(j, _norm(e)) for j, e in entries], N)
-        columns = [_column(spec, r, n, D, norms) for n in indices]
-        bound = max(sum(abs(w) * norms[k][n] for k, w in ws)
-                    for n, (_, ws) in zip(indices, columns))
+        norms = table
+        bound = max(sum(abs(w) * norms[n][k] for k, w in ws)
+                    for n, (_, ws) in zip(indices, weights))
         B = bound.bit_length() + 1
         table = _powers([(j, _pack(e, B)) for j, e in entries], N)
-    else:
-        table = _powers(entries, N)
-        columns = [_column(spec, r, n, D, table) for n in indices]
     values = []
-    for n, (L, ws) in zip(indices, columns):
+    for n, (L, ws) in zip(indices, weights):
         if n == 0:
             values.append(1)
             continue
+        column = table[n]
         total = 0
         for k, w in ws:
-            total += w * table[k][n]
+            total += w * column[k]
         denominator = L * D**n
         # a Polynomial, as Polynomial arithmetic would give it, exactly when
         # some nonzero term of the sum has a Polynomial factor c_j (B bounds
-        # the coefficients of every T[k][n] with a weight, so its packed
+        # the coefficients of every T[n][k] with a weight, so its packed
         # value is 0 only when it is)
-        if poly and any(table[k][n] and any(norms[k - 1][n - j] for j in poly if j <= n)
+        if poly and any(column[k] and any(norms[n - j][k - 1] for j in poly if j <= n - k + 1)
                         for k, _ in ws):
             digits = _digits(total, B)
             values.append(Polynomial([Fraction(r * digit, denominator) for digit in digits]))

@@ -13,7 +13,7 @@ from bellseq import cli
 from bellseq.ring import Polynomial, format_element, parse_element
 from bellseq.seq import bell_transform, preset
 
-from _oracles import iterative_partition_count
+from _oracles import fibonacci_list, iterative_partition_count
 
 
 def run_cli(capsys, *argv):
@@ -253,6 +253,21 @@ class TestConvCommand:
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines() == [
             f"r=1 n={n} {comb(2 * n + 2, n + 1) // (n + 2)}" for n in range(1, 601)
+        ]
+
+    @pytest.mark.parametrize("argv, r, n_max, expected", [
+        # y_n is the Catalan number C_(n+1)
+        (("--preset", "catalan"), 1, 1000, lambda n: comb(2 * n + 2, n + 1) // (n + 2)),
+        # [t^n] (t y)^2 with y_m = F_(m+1)
+        (("--preset", "fibonacci", "--delta", "1"), 2, 200,
+         lambda n, F=fibonacci_list(201): sum(F[i + 1] * F[n - 1 - i] for i in range(n - 1))),
+    ], ids=["catalan", "fibonacci_shifted"])
+    def test_deep_check_row(self, argv, r, n_max, expected):
+        # one closed call per index, and all of them share one table
+        result = run_subprocess("conv", *argv, "--r", str(r), "--n", str(n_max), "--check")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            f"r={r} n={n} lhs={expected(n)} rhs={expected(n)} ok" for n in range(1, n_max + 1)
         ]
 
     def test_mismatch_exits_1(self, capsys, monkeypatch):

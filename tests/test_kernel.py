@@ -3,8 +3,12 @@ enumerating pi(n, k) (see _oracles.py), on random rational and polynomial
 specs, at large N against identities that need no enumeration, and, with
 large coefficients, against the same table built in Polynomial arithmetic.
 The rational window, which comes from the functional equation instead, is
-checked against the kernel in value and type."""
+checked against the kernel in value and type, and so are sequences of calls
+that share, grow, reuse and replace the kernel's last rational table, from
+one thread and from two."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import comb
 
@@ -222,3 +226,78 @@ def test_packed_kernel_tight_bound(a, b, q, r, N):
         b = 1
     c = [qj * X**j for j, qj in enumerate(q, start=1)]
     assert_matches_table(BellSequenceSpec(a, b, c), r, N)
+
+
+# c_1..c_3 of the second are ints, so its D is 1 below n = 4 and 7 from there
+SHARED_C = ((2, 1), (1, 0, 0, Fraction(1, 7)), (Fraction(1, 2), -1, Fraction(2, 3)), (-1, 0, 3))
+table_calls = st.lists(
+    st.tuples(
+        st.sampled_from(("closed", "shifted", "row")),
+        st.sampled_from(SHARED_C),
+        st.integers(-2, 2),  # a, or delta for a shifted call
+        st.integers(-2, 2),
+        st.integers(1, 4),
+        st.integers(0, 9),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def assert_exact(value, expected):
+    """value == expected, an int when integral and a Fraction otherwise."""
+    assert value == expected
+    assert type(value) is (int if Fraction(expected).denominator == 1 else Fraction), repr(value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_calls)
+# one c under three (a, b) and two r, n rising then falling
+@example([("closed", (2, 1), 1, 0, 1, n) for n in (1, 3, 6, 9)]
+         + [("row", (2, 1), -1, 2, 3, 7), ("closed", (2, 1), 0, 1, 2, 4),
+            ("closed", (2, 1), 1, 0, 1, 2)])
+# interleaved specs, and the Fraction c_4 = 1/7 known to the table (D = 7)
+# before the calls at n <= 3, where today's D is 1
+@example([("closed", SHARED_C[1], 1, 0, 2, 8), ("closed", SHARED_C[2], 1, 1, 1, 5),
+          ("closed", SHARED_C[1], 1, 0, 2, 9), ("shifted", SHARED_C[1], 0, 0, 1, 3),
+          ("closed", SHARED_C[1], -1, 1, 3, 2), ("row", SHARED_C[1], 2, 0, 1, 3),
+          ("shifted", SHARED_C[2], 1, 0, 2, 9), ("closed", SHARED_C[1], 1, -2, 4, 1)])
+def test_calls_sharing_a_table(calls):
+    for kind, c, a, b, r, n in calls:
+        if kind == "shifted":
+            assert_exact(shifted_convolution_closed(c, r, n, abs(a)),
+                         shifted_by_enumeration(c, r, n, abs(a)))
+            continue
+        b = b if a or b else 1
+        spec = BellSequenceSpec(a, b, c)
+        if kind == "closed":
+            n = max(n, 1)
+            assert_exact(convolution_closed(spec, r, n),
+                         closed_form_by_enumeration(a, b, c, r, n))
+        else:
+            values = closed_row(spec, r, range(n + 1))
+            assert_exact(values[0], 1)
+            for m, value in enumerate(values[1:], start=1):
+                assert_exact(value, closed_form_by_enumeration(a, b, c, r, m))
+
+
+def test_threads_sweeping_different_c():
+    # both threads step together, so the last table changes hands between
+    # almost every pair of calls; each sweep rises and falls, twice
+    specs = (preset("catalan")[0], BellSequenceSpec(1, 1, (Fraction(1, 2), 0, Fraction(-2, 3))))
+    expected = [cauchy_power(bell_transform(spec, 40).values, 2) for spec in specs]
+    steps = 2 * (list(range(1, 41)) + list(range(40, 0, -1)))
+    barrier = threading.Barrier(2, timeout=30)
+
+    def sweep(spec):
+        values = []
+        for n in steps:
+            barrier.wait()
+            values.append((n, convolution_closed(spec, 2, n)))
+        return values
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = [f.result() for f in [pool.submit(sweep, spec) for spec in specs]]
+    for values, power in zip(results, expected):
+        for n, value in values:
+            assert_exact(value, power[n])
