@@ -7,13 +7,15 @@ Exit codes: 0 success / all checks matched, 1 a verification check failed,
 the request, exits 2 with one ``error:`` line on stderr; so does a
 ``conv --check`` request whose oracle would build more than
 MAX_ORACLE_PARTS composition parts, and a ``bell`` request whose B_{n,k}
-has more than MAX_BELL_EXPONENTS exponents over all its terms.
+has more than MAX_BELL_EXPONENTS exponents over all its terms.  A reader
+that closes stdout early ends the command quietly, with exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import comb
 
@@ -194,17 +196,12 @@ def _cmd_conv(args, emitter) -> int:
         raise ValueError("shift formula stated for a=0, b=1 family")
 
     if args.closed_only:
-        indices = range(1, args.n + 1)
-        if args.delta > 0:
-            # the shifted row is the a=0, b=1 row at m = n - delta*r: 1 at
-            # m = 0 and 0 below
-            ms = [n - args.delta * args.r for n in indices]
-            wanted = [m for m in ms if m > 0]
-            row = dict(zip(wanted, seq.closed_row(BellSequenceSpec(0, 1, spec.c), args.r, wanted)))
-            values = [row[m] if m > 0 else int(m == 0) for m in ms]
-        else:
-            values = seq.closed_row(spec, args.r, indices)
-        for n, v in zip(indices, values):
+        # the shifted row is the a=0, b=1 row at m = n - delta*r: 0 below
+        # m = 0, and closed_row gives the 1 at m = 0
+        ms = range(1 - args.delta * args.r, args.n + 1 - args.delta * args.r)
+        row = seq.closed_row(spec, args.r, range(max(ms.start, 0), ms.stop))
+        values = [0] * (len(ms) - len(row)) + row
+        for n, v in enumerate(values, start=1):
             text = format_element(v)
             emitter.emit(
                 {"kind": "convolution", "r": args.r, "n": n, "value": text},
@@ -328,7 +325,15 @@ def main(argv=None) -> int:
 
 
 def run():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early, which is no error of the request:
+        # exit 0, with stdout on the null device for the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -199,30 +199,28 @@ def _powers(entries, N: int, columns=_UNIT) -> list:
     return columns
 
 
-# (c, D, entries, T) of the last rational-ring table, T to M and D, entries
-# those of _scaled(c[:M]): replaced, never changed
+# ((c, the types of its entries), D, entries, poly, T) of the last table:
+# replaced, never changed
 _last_table = None
 
 
-def _rational_table(c, N: int) -> tuple:
-    """(D, T) for rational c: T the columns of :func:`_powers` for the
-    entries D*c_j, to N or beyond, and the last table from now on.  The last
-    table is reused when it has the same c, and extended past its M when
-    the c_j with M < j <= N, if any, scale to ints by its D as well."""
+def _table(c, N: int) -> tuple:
+    """(D, entries, poly, T): D and entries those of :func:`_scaled` on the
+    whole of c, poly the j with a Polynomial entry, and T the columns of
+    :func:`_powers` to N or beyond for the entries, or for their norms
+    ||e_j||_1 when poly is not empty.  T is kept from now on: calls with the
+    same c, types included (a constant Polynomial equals its scalar), reuse
+    it, or append the columns past its N, so D never changes for a given c."""
     global _last_table
+    key = c, tuple(map(type, c))
     last = _last_table
-    if last is not None and last[0] == c:
-        _, D, entries, table = last
-        if len(table) <= min(N, len(c)):  # some c_j with M < j <= N
-            D_N, entries = _scaled(c[:N])
-            if D_N != D:
-                D, table = D_N, _UNIT
-    else:
-        D, entries = _scaled(c[:N])
-        table = _UNIT
-    table = _powers(entries, N, table)
-    _last_table = c, D, entries, table
-    return D, table
+    if last is None or last[0] != key:
+        D, entries = _scaled(c)
+        last = key, D, entries, [j for j, e in entries if isinstance(e, Polynomial)], _UNIT
+    _, D, entries, poly, table = last
+    table = _powers([(j, _norm(e)) for j, e in entries] if poly else entries, N, table)
+    _last_table = key, D, entries, poly, table
+    return D, entries, poly, table
 
 
 def _column(spec: BellSequenceSpec, r: int, n: int, D: int, column: list) -> tuple:
@@ -274,27 +272,20 @@ def closed_row(spec: BellSequenceSpec, r: int, indices) -> list:
     bounds every coefficient of every sum, so B = bits(bound) + 1, the +1
     for the sign, keeps the packing exact.
 
-    The table depends on c alone, so in the rational ring the last one is
-    kept (see :func:`_rational_table`): calls that walk n one index at a
-    time, or r, build one table between them, not one each.  Any D that
-    scales c_1..c_N to ints gives the same values.  One table at most is
-    kept, up to the largest N asked of its c; it is replaced, never
-    changed, so threads may share it.  With Polynomial entries B depends on
-    the indices asked for, and every call builds its own tables.
+    The table depends on c alone, so the last one is kept for both rings
+    (see :func:`_table`): calls that walk n one index at a time, or r, build
+    one table between them, not one each.  One table at most is kept, up to
+    the largest N asked of its c; it is replaced, never changed, so threads
+    may share it.  With Polynomial entries the kept table is the norm table;
+    the packed one stays per call, as B depends on the indices and on r.
     """
     N = max(indices, default=0)
-    poly = ()
-    if spec.ring == "rational":
-        D, table = _rational_table(spec.c, N)
-    else:
-        D, entries = _scaled(spec.c[:N])
-        poly = [j for j, e in entries if isinstance(e, Polynomial)]
-        table = _powers([(j, _norm(e)) for j, e in entries] if poly else entries, N)
+    D, entries, poly, table = _table(spec.c, N)
     weights = [_column(spec, r, n, D, table[n]) for n in indices]
     if poly:
         norms = table
-        bound = max(sum(abs(w) * norms[n][k] for k, w in ws)
-                    for n, (_, ws) in zip(indices, weights))
+        bound = max((sum(abs(w) * norms[n][k] for k, w in ws)
+                     for n, (_, ws) in zip(indices, weights)), default=0)
         B = bound.bit_length() + 1
         table = _powers([(j, _pack(e, B)) for j, e in entries], N)
     values = []

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bellseq import cli
+from bellseq.conv import shifted_convolution_closed
 from bellseq.ring import Polynomial, format_element, parse_element
 from bellseq.seq import bell_transform, preset
 
@@ -246,6 +247,20 @@ class TestConvCommand:
         values = [json.loads(line)["value"] for line in out.splitlines()]
         assert values == ["4", "14", "48"]
 
+    @pytest.mark.parametrize("name", ["fibonacci", "jacobsthal"])
+    # m = n - delta*r runs below 0 (zeros), through 0 (the 1) and above; n = 0
+    # is the empty row
+    @pytest.mark.parametrize("r, delta, n", [(2, 1, 0), (2, 1, 6), (3, 2, 9), (1, 3, 2)])
+    def test_closed_only_shifted(self, capsys, name, r, delta, n):
+        code, out = run_cli(capsys, "conv", "--preset", name, "--r", str(r), "--delta",
+                            str(delta), "--n", str(n), "--closed-only")
+        assert code == 0
+        c = preset(name)[0].c
+        assert out.splitlines() == [
+            f"r={r} n={i} {format_element(shifted_convolution_closed(c, r, i, delta))}"
+            for i in range(1, n + 1)
+        ]
+
     def test_deep_closed_only_row(self):
         # one kernel call for the whole row; y_n is the Catalan number C_(n+1)
         result = run_subprocess("conv", "--preset", "catalan", "--r", "1", "--n", "600",
@@ -275,6 +290,23 @@ class TestConvCommand:
         code, out = run_cli(capsys, "conv", "--preset", "catalan", "--r", "2", "--n", "3")
         assert code == 1
         assert "MISMATCH" in out
+
+
+@pytest.mark.parametrize("argv, size", [
+    (("seq", "--preset", "catalan", "--n", "1200", "--format", "json"), None),
+    (("bell", "--n", "1200", "--k", "2", "--symbolic"), 100),
+], ids=["seq_one_line", "bell_100_bytes"])
+def test_reader_closing_stdout_early(argv, size):
+    # each output is far larger than a pipe holds, so the command is still
+    # writing when its reader stops: it ends quietly, with exit 0
+    child = subprocess.Popen([sys.executable, "-m", "bellseq", *argv],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = child.stdout.readline() if size is None else child.stdout.read(size)
+    child.stdout.close()
+    stderr = child.stderr.read()
+    assert child.wait(timeout=60) == 0, stderr
+    assert stderr == b""
+    assert head
 
 
 class TestDecomposeCommand:

@@ -4,9 +4,10 @@ specs, at large N against identities that need no enumeration, and, with
 large coefficients, against the same table built in Polynomial arithmetic.
 The rational window, which comes from the functional equation instead, is
 checked against the kernel in value and type, and so are sequences of calls
-that share, grow, reuse and replace the kernel's last rational table, from
-one thread and from two."""
+that share, grow, reuse and replace the kernel's last table, in both rings,
+from one thread and from three."""
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -186,6 +187,11 @@ def assert_matches_table(spec, r, N):
     assert_canonical(*values)
 
 
+def test_empty_row_with_polynomial_entries():
+    # the norm bound of no index at all; conv --n 0 --closed-only asks for it
+    assert closed_row(preset("jacobsthal")[0], 2, []) == []
+
+
 big_scalars = st.fractions(min_value=-10**9, max_value=10**9, max_denominator=12)
 big_polys = st.lists(big_scalars, min_size=1, max_size=5).map(Polynomial)
 
@@ -228,8 +234,11 @@ def test_packed_kernel_tight_bound(a, b, q, r, N):
     assert_matches_table(BellSequenceSpec(a, b, c), r, N)
 
 
-# c_1..c_3 of the second are ints, so its D is 1 below n = 4 and 7 from there
-SHARED_C = ((2, 1), (1, 0, 0, Fraction(1, 7)), (Fraction(1, 2), -1, Fraction(2, 3)), (-1, 0, 3))
+# the one Fraction of the second and the one Polynomial of the fifth are c_4,
+# past the n of many calls; the sixth equals the first in value, with a
+# constant Polynomial c_1, so the slot must tell them apart by type
+SHARED_C = ((2, 1), (1, 0, 0, Fraction(1, 7)), (Fraction(1, 2), -1, Fraction(2, 3)), (-1, 0, 3),
+            (1, 0, 0, Fraction(1, 7) * X), (Polynomial((2,)), 1), (Fraction(1, 2), 1 + X))
 table_calls = st.lists(
     st.tuples(
         st.sampled_from(("closed", "shifted", "row")),
@@ -244,10 +253,23 @@ table_calls = st.lists(
 )
 
 
-def assert_exact(value, expected):
-    """value == expected, an int when integral and a Fraction otherwise."""
+def assert_exact(value, expected, typed=None):
+    """value == expected in canonical form, and a Polynomial exactly when
+    typed (expected by default) is one unless the value is zero, the rule of
+    assert_matches_table."""
     assert value == expected
-    assert type(value) is (int if Fraction(expected).denominator == 1 else Fraction), repr(value)
+    assert_canonical(value)
+    typed = expected if typed is None else typed
+    assert isinstance(value, Polynomial) == isinstance(typed, Polynomial) or value == 0, (
+        value, typed)
+
+
+def assert_closed(value, a, b, c, r, n):
+    """value is the closed form at index n >= 1: enumeration gives the value
+    and the Polynomial-arithmetic table the type, because enumeration also
+    adds the terms of weight zero, which are Polynomials in that ring."""
+    assert_exact(value, closed_form_by_enumeration(a, b, c, r, n),
+                 closed_form_by_table(a, b, r, n, power_table(c, n)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -256,12 +278,18 @@ def assert_exact(value, expected):
 @example([("closed", (2, 1), 1, 0, 1, n) for n in (1, 3, 6, 9)]
          + [("row", (2, 1), -1, 2, 3, 7), ("closed", (2, 1), 0, 1, 2, 4),
             ("closed", (2, 1), 1, 0, 1, 2)])
-# interleaved specs, and the Fraction c_4 = 1/7 known to the table (D = 7)
-# before the calls at n <= 3, where today's D is 1
+# interleaved specs, and calls at n <= 3 after the table knows c_4 = 1/7
 @example([("closed", SHARED_C[1], 1, 0, 2, 8), ("closed", SHARED_C[2], 1, 1, 1, 5),
           ("closed", SHARED_C[1], 1, 0, 2, 9), ("shifted", SHARED_C[1], 0, 0, 1, 3),
           ("closed", SHARED_C[1], -1, 1, 3, 2), ("row", SHARED_C[1], 2, 0, 1, 3),
           ("shifted", SHARED_C[2], 1, 0, 2, 9), ("closed", SHARED_C[1], 1, -2, 4, 1)])
+# across the rings: (2, 1) and its constant-Polynomial twin in turn, then the
+# Polynomial c_4 = x/7 asked below n = 4, past it, and below it again
+@example([("closed", SHARED_C[0], 1, 0, 1, 3), ("closed", SHARED_C[5], 1, 0, 1, 3),
+          ("row", SHARED_C[0], 0, 1, 2, 4), ("row", SHARED_C[5], 0, 1, 2, 5),
+          ("closed", SHARED_C[4], 0, 1, 1, 2), ("row", SHARED_C[4], 1, 1, 2, 6),
+          ("shifted", SHARED_C[4], 1, 0, 1, 3), ("closed", SHARED_C[4], -1, 2, 3, 3),
+          ("closed", SHARED_C[6], 2, -1, 2, 5), ("shifted", SHARED_C[6], 2, 0, 2, 9)])
 def test_calls_sharing_a_table(calls):
     for kind, c, a, b, r, n in calls:
         if kind == "shifted":
@@ -272,22 +300,23 @@ def test_calls_sharing_a_table(calls):
         spec = BellSequenceSpec(a, b, c)
         if kind == "closed":
             n = max(n, 1)
-            assert_exact(convolution_closed(spec, r, n),
-                         closed_form_by_enumeration(a, b, c, r, n))
+            assert_closed(convolution_closed(spec, r, n), a, b, c, r, n)
         else:
             values = closed_row(spec, r, range(n + 1))
             assert_exact(values[0], 1)
             for m, value in enumerate(values[1:], start=1):
-                assert_exact(value, closed_form_by_enumeration(a, b, c, r, m))
+                assert_closed(value, a, b, c, r, m)
 
 
 def test_threads_sweeping_different_c():
-    # both threads step together, so the last table changes hands between
-    # almost every pair of calls; each sweep rises and falls, twice
-    specs = (preset("catalan")[0], BellSequenceSpec(1, 1, (Fraction(1, 2), 0, Fraction(-2, 3))))
+    # the threads, more than the cores, step together and switch often, so
+    # the last table changes hands, and rings, between almost every pair of
+    # calls; each sweep rises and falls, twice
+    specs = (preset("catalan")[0], BellSequenceSpec(1, 1, (Fraction(1, 2), 0, Fraction(-2, 3))),
+             preset("jacobsthal")[0])
     expected = [cauchy_power(bell_transform(spec, 40).values, 2) for spec in specs]
     steps = 2 * (list(range(1, 41)) + list(range(40, 0, -1)))
-    barrier = threading.Barrier(2, timeout=30)
+    barrier = threading.Barrier(len(specs), timeout=30)
 
     def sweep(spec):
         values = []
@@ -296,8 +325,13 @@ def test_threads_sweeping_different_c():
             values.append((n, convolution_closed(spec, 2, n)))
         return values
 
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        results = [f.result() for f in [pool.submit(sweep, spec) for spec in specs]]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(specs)) as pool:
+            results = [f.result() for f in [pool.submit(sweep, spec) for spec in specs]]
+    finally:
+        sys.setswitchinterval(interval)
     for values, power in zip(results, expected):
         for n, value in values:
             assert_exact(value, power[n])
