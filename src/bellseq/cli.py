@@ -25,7 +25,8 @@ from .ring import format_element, parse_element
 from .seq import PRESET_NAMES, BellSequenceSpec, RecurrenceSpec
 
 # largest oracle cost `conv --check` accepts, in composition parts (each
-# visit builds and multiplies out an r-tuple): about a second of work
+# visit builds and multiplies out an r-tuple): about a second of work for
+# small int and rational values, far more for wide Polynomial ones (README)
 MAX_ORACLE_PARTS = 2 * 10**6
 # largest enumeration `bell` accepts, in exponents written (p(n, k) terms of
 # n - k + 1 exponents each): about a second of work

@@ -12,17 +12,22 @@ checker for the two-index Bell convolution identity they all rest on.
 
 Both closed forms are calls into the power-series kernel of :mod:`.seq`
 (:func:`~bellseq.seq.closed_row`); only the oracle, the specialized formulas
-and the lemma checker compute on their own.
+and the lemma checker compute on their own.  The oracle still visits every
+composition, but sums int products: the values it reads are scaled by one
+common denominator and, when some are Polynomials, packed into ints at
+x = 2^B with the kernel's packing, so each sum is unpacked and divided once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .bellpoly import bell_closed_three_term, bell_eval
-from .ring import RingElement, X, format_element, generalized_binomial, normalized
-from .seq import BellSequenceSpec, SequenceWindow, bell_transform, closed_row
+from .ring import Polynomial, RingElement, X, format_element, generalized_binomial, normalized
+from .seq import (BellSequenceSpec, SequenceWindow, _digits, _norm, _pack, _quotient,
+                  bell_transform, closed_row)
 
 __all__ = [
     "ConvolutionReport",
@@ -99,14 +104,38 @@ def compositions(n: int, r: int):
 
 def convolution_oracle(window: SequenceWindow, r: int, n: int, delta: int = 0) -> RingElement:
     """Brute-force sum of products y_{m_1-delta} ... y_{m_r-delta} over all
-    compositions m_1 + ... + m_r = n, with y at negative index equal to 0."""
+    compositions m_1 + ... + m_r = n, with y at negative index equal to 0.
+
+    A product is nonzero only when every part is at least delta, and then
+    its indices sum to M = n - r*delta, so only y_0..y_M count (y_M alone
+    for r = 1).  They are scaled by D, the lcm of their denominators, and
+    a Polynomial among them packs each D*y_i into one int at x = 2^B, B
+    from the norm bound [t^M] (sum_i ||D*y_i||_1 t^i)^r.  Every product and
+    sum is then an int; the total is unpacked once and divided once by D^r.
+    The value is a Polynomial exactly when some product with every part at
+    least delta has a Polynomial factor, as in Polynomial arithmetic:
+
+    >>> from bellseq.seq import preset
+    >>> convolution_oracle(bell_transform(preset("jacobsthal")[0], 5), 2, 5)
+    Polynomial((6, 40, 48))
+    """
     if r < 1:
         raise ValueError("r must be at least 1")
     if n < 0 or delta < 0:
         raise ValueError("n and delta must be non-negative")
     if window.last_index < n:
         raise ValueError(f"window covers 0..{window.last_index}, need 0..{n}")
-    values = window.values
+    M = n - r * delta
+    low = M if r == 1 else 0
+    used = window.values[low:M + 1] if M >= 0 else ()
+    D = lcm(*(y.denominator for y in used))
+    scaled = [normalized(D * y) for y in used]
+    packed = any(isinstance(y, Polynomial) for y in used)
+    if packed:
+        B = _norm_power(list(map(_norm, scaled)), r).bit_length() + 1
+        scaled = [_pack(e, B) for e in scaled]
+    # zeros elsewhere: a product reading past y_M has a part below delta
+    values = [0] * low + scaled + [0] * (n - M)
     total = 0
     for comp in compositions(n, r):
         product = 1
@@ -117,7 +146,21 @@ def convolution_oracle(window: SequenceWindow, r: int, n: int, delta: int = 0) -
                 break
             product = product * values[idx]
         total = total + product
-    return normalized(total)
+    if packed:
+        return Polynomial._exact([_quotient(digit, D**r) for digit in _digits(total, B)])
+    return _quotient(total, D**r)
+
+
+def _norm_power(norms: list, r: int) -> int:
+    """[t^M] (sum_i norms[i] t^i)^r, M = len(norms) - 1, for r >= 2; the one
+    norm for r = 1."""
+    if r == 1:
+        return norms[0]
+    M = len(norms) - 1
+    power = norms
+    for _ in range(r - 2):
+        power = [sum(power[i] * norms[m - i] for i in range(m + 1)) for m in range(M + 1)]
+    return sum(power[i] * norms[M - i] for i in range(M + 1))
 
 
 def convolution_closed(spec: BellSequenceSpec, r: int, n: int) -> RingElement:

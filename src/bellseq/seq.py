@@ -199,28 +199,50 @@ def _powers(entries, N: int, columns=_UNIT) -> list:
     return columns
 
 
-# ((c, the types of its entries), D, entries, poly, T) of the last table:
-# replaced, never changed
+# ((c, the types of its entries), D, entries, poly, T, packed) of the last
+# table, packed the (B, columns) of :func:`_packed_table` or None: replaced,
+# never changed
 _last_table = None
 
 
 def _table(c, N: int) -> tuple:
-    """(D, entries, poly, T): D and entries those of :func:`_scaled` on the
-    whole of c, poly the j with a Polynomial entry, and T the columns of
-    :func:`_powers` to N or beyond for the entries, or for their norms
-    ||e_j||_1 when poly is not empty.  T is kept from now on: calls with the
-    same c, types included (a constant Polynomial equals its scalar), reuse
-    it, or append the columns past its N, so D never changes for a given c."""
+    """The kept slot (key, D, entries, poly, T, packed) for c: D and entries
+    those of :func:`_scaled` on the whole of c, poly the j with a Polynomial
+    entry, T the columns of :func:`_powers` to N or beyond for the entries,
+    or for their norms ||e_j||_1 when poly is not empty, and packed the table
+    of :func:`_packed_table`, if any.  The slot is kept from now on: calls
+    with the same c, types included (a constant Polynomial equals its
+    scalar), reuse it, or append the columns past its N, so D never changes
+    for a given c."""
     global _last_table
     key = c, tuple(map(type, c))
     last = _last_table
     if last is None or last[0] != key:
         D, entries = _scaled(c)
-        last = key, D, entries, [j for j, e in entries if isinstance(e, Polynomial)], _UNIT
-    _, D, entries, poly, table = last
+        last = key, D, entries, [j for j, e in entries if isinstance(e, Polynomial)], _UNIT, None
+    _, D, entries, poly, table, packed = last
     table = _powers([(j, _norm(e)) for j, e in entries] if poly else entries, N, table)
-    _last_table = key, D, entries, poly, table
-    return D, entries, poly, table
+    last = _last_table = key, D, entries, poly, table, packed
+    return last
+
+
+def _packed_table(slot, N: int, B: int) -> tuple:
+    """(B', P): P the columns of :func:`_powers` to N or beyond for the
+    Polynomial entries of slot (see :func:`_table`) packed at x = 2^B', with
+    B' >= B, kept in the slot.  The slot's packed table is reused whenever
+    its B' is no smaller than B (a larger B' still packs exactly) and
+    extended past its N; otherwise it is rebuilt at max(B, 2 B'), so calls
+    whose B rises rebuild it O(log B) times.  A first call packs at B."""
+    global _last_table
+    key, D, entries, poly, norms, packed = slot
+    if packed is None:
+        packed = B, _UNIT
+    elif packed[0] < B:
+        packed = max(B, 2 * packed[0]), _UNIT
+    B, columns = packed
+    columns = _powers([(j, _pack(e, B)) for j, e in entries], N, columns)
+    _last_table = key, D, entries, poly, norms, (B, columns)
+    return B, columns
 
 
 def _column(spec: BellSequenceSpec, r: int, n: int, D: int, column: list) -> tuple:
@@ -238,8 +260,14 @@ def _column(spec: BellSequenceSpec, r: int, n: int, D: int, column: list) -> tup
 
 
 def _pack(entry: RingElement, B: int) -> int:
-    """An int or int-coefficient Polynomial entry at x = 2^B; the identity on ints."""
-    return entry(1 << B) if isinstance(entry, Polynomial) else entry
+    """An int or int-coefficient Polynomial entry at x = 2^B, by shifts; the
+    identity on ints."""
+    if not isinstance(entry, Polynomial):
+        return entry
+    packed = 0
+    for coefficient in reversed(entry.coefficients):
+        packed = (packed << B) + coefficient
+    return packed
 
 
 def _norm(entry: RingElement) -> int:
@@ -261,6 +289,13 @@ def _digits(value: int, B: int) -> list:
     return digits
 
 
+def _quotient(numerator: int, denominator: int) -> RingElement:
+    """numerator / denominator, denominator > 0, in canonical form: an int
+    when the division is exact, else a Fraction."""
+    quotient, remainder = divmod(numerator, denominator)
+    return Fraction(numerator, denominator) if remainder else quotient
+
+
 def closed_row(spec: BellSequenceSpec, r: int, indices) -> list:
     """r * sum_{k=1..n} binom(a*n + b*k + r-1, k-1) / k * [t^n] g^k (1 at n = 0)
     for each n of indices, an increasing sequence of non-negative ints.
@@ -274,20 +309,21 @@ def closed_row(spec: BellSequenceSpec, r: int, indices) -> list:
 
     The table depends on c alone, so the last one is kept for both rings
     (see :func:`_table`): calls that walk n one index at a time, or r, build
-    one table between them, not one each.  One table at most is kept, up to
+    one table between them, not one each.  One slot at most is kept, up to
     the largest N asked of its c; it is replaced, never changed, so threads
-    may share it.  With Polynomial entries the kept table is the norm table;
-    the packed one stays per call, as B depends on the indices and on r.
+    may share it.  With Polynomial entries the slot holds the norm table and
+    the packed table with its B (see :func:`_packed_table`); the sums are
+    unpacked with that B.
     """
     N = max(indices, default=0)
-    D, entries, poly, table = _table(spec.c, N)
+    slot = _table(spec.c, N)
+    _, D, _, poly, table, _ = slot
     weights = [_column(spec, r, n, D, table[n]) for n in indices]
     if poly:
         norms = table
         bound = max((sum(abs(w) * norms[n][k] for k, w in ws)
                      for n, (_, ws) in zip(indices, weights)), default=0)
-        B = bound.bit_length() + 1
-        table = _powers([(j, _pack(e, B)) for j, e in entries], N)
+        B, table = _packed_table(slot, N, bound.bit_length() + 1)
     values = []
     for n, (L, ws) in zip(indices, weights):
         if n == 0:
@@ -304,10 +340,10 @@ def closed_row(spec: BellSequenceSpec, r: int, indices) -> list:
         # value is 0 only when it is)
         if poly and any(column[k] and any(norms[n - j][k - 1] for j in poly if j <= n - k + 1)
                         for k, _ in ws):
-            digits = _digits(total, B)
-            values.append(Polynomial([Fraction(r * digit, denominator) for digit in digits]))
+            values.append(Polynomial._exact([_quotient(r * digit, denominator)
+                                             for digit in _digits(total, B)]))
         else:
-            values.append(normalized(Fraction(r * total, denominator)))
+            values.append(_quotient(r * total, denominator))
     return values
 
 

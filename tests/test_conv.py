@@ -3,7 +3,9 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from bellseq import conv
 from bellseq.conv import (
     ConvolutionReport,
     LemmaGuardError,
@@ -15,10 +17,16 @@ from bellseq.conv import (
     shifted_convolution_closed,
     verify_theorem,
 )
-from bellseq.ring import X, generalized_binomial
-from bellseq.seq import BellSequenceSpec, bell_transform, preset
+from bellseq.ring import Polynomial, X, generalized_binomial
+from bellseq.seq import BellSequenceSpec, SequenceWindow, bell_transform, preset
 
-from _oracles import compositions_bruteforce, random_fraction, random_ring_spec
+from _oracles import (
+    compositions_bruteforce,
+    convolution_bruteforce,
+    is_canonical,
+    random_fraction,
+    random_ring_spec,
+)
 
 
 class TestCompositions:
@@ -88,6 +96,84 @@ class TestOracle:
                     w.value_at(m) * convolution_oracle(w, r - 1, n - m) for m in range(n + 1)
                 )
                 assert direct == via_recursion
+
+
+scalars = st.one_of(st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=12))
+polys = st.one_of(st.just(Polynomial()), st.lists(scalars, min_size=1, max_size=3).map(Polynomial))
+window_values = st.one_of(
+    st.lists(st.integers(-4, 4), min_size=1, max_size=8),
+    st.lists(scalars, min_size=1, max_size=8),
+    st.lists(polys, min_size=1, max_size=8),
+    st.lists(st.one_of(scalars, polys), min_size=1, max_size=8),
+)
+spec_windows = st.builds(
+    lambda a, b, c, N: bell_transform(BellSequenceSpec(a, b if a or b else 1, c), N),
+    st.integers(-2, 2), st.integers(-2, 2), st.lists(st.one_of(scalars, polys), max_size=3),
+    st.integers(0, 7),
+)
+# spec-less windows may start anywhere, y_0 != 1 included
+windows = st.one_of(window_values.map(SequenceWindow), spec_windows)
+
+# y_i = -q x^i: every product with parts >= delta is the monomial -q^r x^M or
+# q^r x^M, so the sum's one coefficient is the whole norm bound, r-fold
+# power, with the sign of (-1)^r
+MONOMIALS = SequenceWindow([-(7**9) * X**i for i in range(8)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(windows, st.integers(1, 5), st.integers(0, 7), st.integers(0, 2))
+# r = 1 reads y_(n - delta) alone: a scalar there gives a scalar, a Polynomial
+# elsewhere notwithstanding, and the other way round
+@example(SequenceWindow([X, 2, Fraction(1, 2)]), 1, 2, 0)
+@example(SequenceWindow([X, 2, Fraction(1, 2)]), 1, 2, 1)
+@example(SequenceWindow([3, X + 1, 2]), 1, 2, 1)
+# n < r*delta: no product survives, and the zero is an int
+@example(SequenceWindow([X, X, X, X]), 2, 3, 2)
+@example(SequenceWindow([X, X, X, X]), 1, 1, 2)
+# a zero Polynomial value makes a Polynomial sum
+@example(SequenceWindow([Polynomial(), 1]), 2, 1, 0)
+@example(MONOMIALS, 3, 7, 0)
+@example(MONOMIALS, 2, 7, 0)
+@example(MONOMIALS, 4, 7, 1)
+def test_oracle_matches_bruteforce(window, r, n, delta):
+    n = min(n, window.last_index)
+    values = window.values
+    value = convolution_oracle(window, r, n, delta)
+    assert value == convolution_bruteforce(values, r, n, delta)
+    assert is_canonical(value), repr(value)
+    # a Polynomial exactly when some composition whose parts are all at
+    # least delta holds a Polynomial value, as Polynomial arithmetic gives it
+    typed = any(
+        min(comp) >= delta and any(isinstance(values[m - delta], Polynomial) for m in comp)
+        for comp in compositions_bruteforce(n, r)
+    )
+    assert isinstance(value, Polynomial) == typed, (value, typed)
+
+
+@pytest.mark.parametrize(
+    "window, r, n, delta",
+    [
+        (SequenceWindow([1, 2, 3, 4, 5, 6]), 4, 5, 0),
+        (SequenceWindow([Fraction(1, 2), -1, Fraction(2, 3), 0, 1, 1]), 3, 5, 1),
+        (SequenceWindow([X, 1 + X, Polynomial(), 2, X, 1]), 3, 5, 1),
+        (SequenceWindow([X, 1 + X, Fraction(1, 3), 2, X, 1]), 3, 5, 2),  # n < r*delta
+        (SequenceWindow([X, 1 + X, Fraction(1, 3), 2, X, 1]), 1, 5, 0),
+    ],
+)
+def test_oracle_visits_every_composition(monkeypatch, window, r, n, delta):
+    # the benchmark counts the oracle's work through conv.compositions, so
+    # every composition goes through that name, whatever the ring
+    visited = []
+    original = conv.compositions
+
+    def counted(n, r):
+        for comp in original(n, r):
+            visited.append(comp)
+            yield comp
+
+    monkeypatch.setattr(conv, "compositions", counted)
+    convolution_oracle(window, r, n, delta)
+    assert sorted(visited) == sorted(compositions_bruteforce(n, r))
 
 
 class TestClosedForm:

@@ -5,7 +5,8 @@ large coefficients, against the same table built in Polynomial arithmetic.
 The rational window, which comes from the functional equation instead, is
 checked against the kernel in value and type, and so are sequences of calls
 that share, grow, reuse and replace the kernel's last table, in both rings,
-from one thread and from three."""
+the packed table of Polynomial entries with its width included, from one
+thread and from four."""
 
 import sys
 import threading
@@ -16,6 +17,7 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bellseq import seq
 from bellseq.conv import convolution_closed, shifted_convolution_closed
 from bellseq.ring import Polynomial, X
 from bellseq.seq import (
@@ -290,39 +292,87 @@ def assert_closed(value, a, b, c, r, n):
           ("closed", SHARED_C[4], 0, 1, 1, 2), ("row", SHARED_C[4], 1, 1, 2, 6),
           ("shifted", SHARED_C[4], 1, 0, 1, 3), ("closed", SHARED_C[4], -1, 2, 3, 3),
           ("closed", SHARED_C[6], 2, -1, 2, 5), ("shifted", SHARED_C[6], 2, 0, 2, 9)])
+# per-index calls on the two Polynomial c's in turn, n rising then falling
+# and r stepping up, so the packed table is reused, extended, rebuilt wider
+# and handed from one c to the other
+@example([("closed", c, a, b, r, n)
+          for r, n in ((1, 2), (1, 5), (2, 6), (2, 9), (3, 9), (4, 8), (4, 5), (2, 3), (1, 1))
+          for c, a, b in ((SHARED_C[4], 0, 1), (SHARED_C[6], 1, 0))])
 def test_calls_sharing_a_table(calls):
     for kind, c, a, b, r, n in calls:
         if kind == "shifted":
-            assert_exact(shifted_convolution_closed(c, r, n, abs(a)),
-                         shifted_by_enumeration(c, r, n, abs(a)))
+            value = shifted_convolution_closed(c, r, n, abs(a))
+            assert_same(value, fresh(shifted_convolution_closed, c, r, n, abs(a)))
+            assert_exact(value, shifted_by_enumeration(c, r, n, abs(a)))
             continue
         b = b if a or b else 1
         spec = BellSequenceSpec(a, b, c)
         if kind == "closed":
             n = max(n, 1)
-            assert_closed(convolution_closed(spec, r, n), a, b, c, r, n)
+            value = convolution_closed(spec, r, n)
+            assert_same(value, fresh(convolution_closed, spec, r, n))
+            assert_closed(value, a, b, c, r, n)
         else:
             values = closed_row(spec, r, range(n + 1))
+            assert_same(values, fresh(closed_row, spec, r, range(n + 1)))
             assert_exact(values[0], 1)
             for m, value in enumerate(values[1:], start=1):
                 assert_closed(value, a, b, c, r, m)
 
 
+def fresh(fn, *args):
+    """fn(*args) from an empty slot, which is then put back as it was, so the
+    calls around it see the slot they would have seen."""
+    kept = seq._last_table
+    seq._last_table = None
+    try:
+        return fn(*args)
+    finally:
+        seq._last_table = kept
+
+
+def assert_same(value, expected):
+    """Equal values of the same type, element by element for a row."""
+    assert value == expected
+    values, expected = (value, expected) if isinstance(value, list) else ([value], [expected])
+    assert [type(v) for v in values] == [type(e) for e in expected], (value, expected)
+
+
+def test_kept_packed_table_widens():
+    # a per-index row whose n and r rise, then fall: every call equals a call
+    # from an empty slot, and the kept width doubles when it must grow
+    spec = BellSequenceSpec(1, 0, (1 + X, Fraction(-1, 2) * X**2, 3))
+    calls = [(r, n) for r in (1, 2, 4) for n in range(1, 21)] + [(3, n) for n in range(20, 0, -3)]
+    seq._last_table = None
+    widths = []
+    for r, n in calls:
+        expected = fresh(convolution_closed, spec, r, n)
+        assert_same(convolution_closed(spec, r, n), expected)
+        widths.append(seq._last_table[5][0])
+    assert widths == sorted(widths)
+    grown = [w for w, previous in zip(widths[1:], widths) if w != previous]
+    assert all(w >= 2 * previous for w, previous in zip(grown, widths))
+    assert len(set(widths)) < len(calls) // 4
+
+
 def test_threads_sweeping_different_c():
     # the threads, more than the cores, step together and switch often, so
     # the last table changes hands, and rings, between almost every pair of
-    # calls; each sweep rises and falls, twice
+    # calls; each sweep rises and falls in n, at r = 1, 2 and 3 in turn, so
+    # the packed tables of the two Polynomial c's must grow their width
     specs = (preset("catalan")[0], BellSequenceSpec(1, 1, (Fraction(1, 2), 0, Fraction(-2, 3))),
-             preset("jacobsthal")[0])
-    expected = [cauchy_power(bell_transform(spec, 40).values, 2) for spec in specs]
-    steps = 2 * (list(range(1, 41)) + list(range(40, 0, -1)))
+             preset("jacobsthal")[0], BellSequenceSpec(0, 1, (1 + X, -3 * X)))
+    rs = (1, 2, 3)
+    windows = [bell_transform(spec, 30).values for spec in specs]
+    expected = [{r: cauchy_power(window, r) for r in rs} for window in windows]
+    steps = [(r, n) for r in rs for n in list(range(1, 31)) + list(range(30, 0, -1))]
     barrier = threading.Barrier(len(specs), timeout=30)
 
     def sweep(spec):
         values = []
-        for n in steps:
+        for r, n in steps:
             barrier.wait()
-            values.append((n, convolution_closed(spec, 2, n)))
+            values.append((r, n, convolution_closed(spec, r, n)))
         return values
 
     interval = sys.getswitchinterval()
@@ -332,6 +382,6 @@ def test_threads_sweeping_different_c():
             results = [f.result() for f in [pool.submit(sweep, spec) for spec in specs]]
     finally:
         sys.setswitchinterval(interval)
-    for values, power in zip(results, expected):
-        for n, value in values:
-            assert_exact(value, power[n])
+    for values, powers in zip(results, expected):
+        for r, n, value in values:
+            assert_exact(value, powers[r][n])
