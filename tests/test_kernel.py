@@ -363,9 +363,9 @@ def test_threads_sweeping_different_c():
     specs = (preset("catalan")[0], BellSequenceSpec(1, 1, (Fraction(1, 2), 0, Fraction(-2, 3))),
              preset("jacobsthal")[0], BellSequenceSpec(0, 1, (1 + X, -3 * X)))
     rs = (1, 2, 3)
-    windows = [bell_transform(spec, 30).values for spec in specs]
+    windows = [bell_transform(spec, 40).values for spec in specs]
     expected = [{r: cauchy_power(window, r) for r in rs} for window in windows]
-    steps = [(r, n) for r in rs for n in list(range(1, 31)) + list(range(30, 0, -1))]
+    steps = [(r, n) for r in rs for n in list(range(1, 41)) + list(range(40, 0, -1))]
     barrier = threading.Barrier(len(specs), timeout=30)
 
     def sweep(spec):
