@@ -15,7 +15,8 @@ Both closed forms are calls into the power-series kernel of :mod:`.seq`
 and the lemma checker compute on their own.  The oracle still visits every
 composition, but sums int products: the values it reads are scaled by one
 common denominator and, when some are Polynomials, packed into ints at
-x = 2^B with the kernel's packing, so each sum is unpacked and divided once.
+x = 2^B with the kernel's packing, so each sum ends in the kernel's one
+decode, which unpacks it and divides once.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from math import lcm
 
 from .bellpoly import bell_closed_three_term, bell_eval
 from .ring import Polynomial, RingElement, X, format_element, generalized_binomial, normalized
-from .seq import (BellSequenceSpec, SequenceWindow, _digits, _norm, _pack, _quotient,
-                  bell_transform, closed_row)
+from .seq import BellSequenceSpec, SequenceWindow, _norm, _pack, _unpack, bell_transform, closed_row
 
 __all__ = [
     "ConvolutionReport",
@@ -130,8 +130,8 @@ def convolution_oracle(window: SequenceWindow, r: int, n: int, delta: int = 0) -
     used = window.values[low:M + 1] if M >= 0 else ()
     D = lcm(*(y.denominator for y in used))
     scaled = [normalized(D * y) for y in used]
-    packed = any(isinstance(y, Polynomial) for y in used)
-    if packed:
+    B = 0
+    if any(isinstance(y, Polynomial) for y in used):
         B = _norm_power(list(map(_norm, scaled)), r).bit_length() + 1
         scaled = [_pack(e, B) for e in scaled]
     # zeros elsewhere: a product reading past y_M has a part below delta
@@ -146,9 +146,7 @@ def convolution_oracle(window: SequenceWindow, r: int, n: int, delta: int = 0) -
                 break
             product = product * values[idx]
         total = total + product
-    if packed:
-        return Polynomial._exact([_quotient(digit, D**r) for digit in _digits(total, B)])
-    return _quotient(total, D**r)
+    return _unpack(total, B, D**r)
 
 
 def _norm_power(norms: list, r: int) -> int:

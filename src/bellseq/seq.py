@@ -39,7 +39,8 @@ J. Symbolic Comput. 44, 2009), so the table and the weighted column sums
 are plain int arithmetic for both rings.  B comes from a norm pass, the
 same sums over the table of ||D*c_j||_1 with |binom| weights, which bound
 every coefficient; each sum is unpacked once, as balanced base-2^B digits,
-and divided once.
+and divided once, by :func:`_unpack`, the one decode that the functional
+equation and the composition oracle end in too.
 """
 
 from __future__ import annotations
@@ -199,63 +200,53 @@ def _powers(entries, N: int, columns=_UNIT) -> list:
     return columns
 
 
-# ((c, the types of its entries), D, entries, poly, T, packed) of the last
-# table, packed the (B, columns) of :func:`_packed_table` or None: replaced,
-# never changed
+# ((c, the types of its entries), D, entries, poly, T, (B, P)) of the last
+# table, (B, P) its packed table or (0, _UNIT): replaced, never changed
 _last_table = None
 
 
-def _table(c, N: int) -> tuple:
-    """The kept slot (key, D, entries, poly, T, packed) for c: D and entries
+def _table(c, N: int, B: int = 0) -> tuple:
+    """The kept slot (key, D, entries, poly, T, (B', P)) for c: D and entries
     those of :func:`_scaled` on the whole of c, poly the j with a Polynomial
     entry, T the columns of :func:`_powers` to N or beyond for the entries,
-    or for their norms ||e_j||_1 when poly is not empty, and packed the table
-    of :func:`_packed_table`, if any.  The slot is kept from now on: calls
-    with the same c, types included (a constant Polynomial equals its
-    scalar), reuse it, or append the columns past its N, so D never changes
-    for a given c."""
+    or for their norms ||e_j||_1 when poly is not empty, and P those for the
+    entries packed at x = 2^B'.  The slot is kept from now on: calls with the
+    same c, types included (a constant Polynomial equals its scalar), reuse
+    it, or append the columns past its N, so D never changes for a given c.
+
+    B = 0 extends T.  B > 0 extends P instead, reused whenever B' >= B (a
+    larger B' still packs exactly) and otherwise rebuilt at max(B, 2 B'),
+    so calls whose B rises rebuild it O(log B) times; a first call packs at
+    B."""
     global _last_table
     key = c, tuple(map(type, c))
     last = _last_table
     if last is None or last[0] != key:
         D, entries = _scaled(c)
-        last = key, D, entries, [j for j, e in entries if isinstance(e, Polynomial)], _UNIT, None
-    _, D, entries, poly, table, packed = last
-    table = _powers([(j, _norm(e)) for j, e in entries] if poly else entries, N, table)
-    last = _last_table = key, D, entries, poly, table, packed
+        poly = [j for j, e in entries if isinstance(e, Polynomial)]
+        last = key, D, entries, poly, _UNIT, (0, _UNIT)
+    _, D, entries, poly, table, (width, packed) = last
+    if not B:
+        table = _powers([(j, _norm(e)) for j, e in entries] if poly else entries, N, table)
+    else:
+        if width < B:
+            width, packed = max(B, 2 * width), _UNIT
+        packed = _powers([(j, _pack(e, width)) for j, e in entries], N, packed)
+    last = _last_table = key, D, entries, poly, table, (width, packed)
     return last
-
-
-def _packed_table(slot, N: int, B: int) -> tuple:
-    """(B', P): P the columns of :func:`_powers` to N or beyond for the
-    Polynomial entries of slot (see :func:`_table`) packed at x = 2^B', with
-    B' >= B, kept in the slot.  The slot's packed table is reused whenever
-    its B' is no smaller than B (a larger B' still packs exactly) and
-    extended past its N; otherwise it is rebuilt at max(B, 2 B'), so calls
-    whose B rises rebuild it O(log B) times.  A first call packs at B."""
-    global _last_table
-    key, D, entries, poly, norms, packed = slot
-    if packed is None:
-        packed = B, _UNIT
-    elif packed[0] < B:
-        packed = max(B, 2 * packed[0]), _UNIT
-    B, columns = packed
-    columns = _powers([(j, _pack(e, B)) for j, e in entries], N, columns)
-    _last_table = key, D, entries, poly, norms, (B, columns)
-    return B, columns
 
 
 def _column(spec: BellSequenceSpec, r: int, n: int, D: int, column: list) -> tuple:
     """(L, weights) for index n >= 1 and column T[n]: L = lcm(1..n) and the
-    pairs (k, binom(a*n + b*k + r-1, k-1) * L/k * D^(n-k)) over the k with
-    T[n][k] and the binomial nonzero."""
+    pairs (k, r * binom(a*n + b*k + r-1, k-1) * L/k * D^(n-k)) over the k
+    with T[n][k] and the binomial nonzero."""
     L = lcm(*range(1, n + 1))
     weights = []
     for k in range(1, n + 1):
         if column[k]:
             binom = generalized_binomial(spec.a * n + spec.b * k + r - 1, k - 1)
             if binom:
-                weights.append((k, binom * (L // k) * D ** (n - k)))
+                weights.append((k, r * binom * (L // k) * D ** (n - k)))
     return L, weights
 
 
@@ -275,25 +266,28 @@ def _norm(entry: RingElement) -> int:
     return sum(map(abs, entry.coefficients)) if isinstance(entry, Polynomial) else abs(entry)
 
 
-def _digits(value: int, B: int) -> list:
-    """The balanced base-2^B digits of value, lowest first, each in
-    [-2^(B-1), 2^(B-1)): the coefficients of the polynomial packed into value
-    at x = 2^B when they all lie in that range.  For B >= 2 there are at most
-    bits(value)/B + 2 of them (zeros may trail), and for B = 1 value is 0."""
-    digits = []
+def _unpack(value: int, B: int, denominator: int) -> RingElement:
+    """value / denominator in canonical form, denominator > 0: for B = 0 the
+    scalar, an int when the division is exact, else a Fraction; for B > 0
+    the Polynomial packed into value at x = 2^B, each coefficient a balanced
+    base-2^B digit, in [-2^(B-1), 2^(B-1)), divided the same way; every
+    coefficient packed into value must lie in that range.
+
+    >>> _unpack(_pack(Polynomial((3, -1, 2)), 3), 3, 6)
+    Polynomial((Fraction(1, 2), Fraction(-1, 6), Fraction(1, 3)))
+    >>> _unpack(-9, 0, 6), _unpack(-12, 0, 6)
+    (Fraction(-3, 2), -2)
+    """
+    if not B:
+        quotient, remainder = divmod(value, denominator)
+        return Fraction(value, denominator) if remainder else quotient
+    coefficients = []
     half = 1 << (B - 1)
     for _ in range(value.bit_length() // B + 2):
         digit = ((value + half) & ((1 << B) - 1)) - half
-        digits.append(digit)
+        coefficients.append(_unpack(digit, 0, denominator))
         value = (value - digit) >> B
-    return digits
-
-
-def _quotient(numerator: int, denominator: int) -> RingElement:
-    """numerator / denominator, denominator > 0, in canonical form: an int
-    when the division is exact, else a Fraction."""
-    quotient, remainder = divmod(numerator, denominator)
-    return Fraction(numerator, denominator) if remainder else quotient
+    return Polynomial._exact(coefficients)
 
 
 def closed_row(spec: BellSequenceSpec, r: int, indices) -> list:
@@ -302,28 +296,27 @@ def closed_row(spec: BellSequenceSpec, r: int, indices) -> list:
 
     At r = 1 this is y_n, for r >= 1 the r-fold convolution of y at index n.
     One table T[n][k] = [t^n] (D*g)^k serves every index; with L = lcm(1..n)
-    each value is the int sum_k binom * (L/k) * D^(n-k) * T[n][k], unpacked
-    when c has Polynomial entries, divided once by L * D^n.  The norm pass
-    bounds every coefficient of every sum, so B = bits(bound) + 1, the +1
-    for the sign, keeps the packing exact.
+    each value is the int sum_k r * binom * (L/k) * D^(n-k) * T[n][k],
+    unpacked when c has Polynomial entries and divided once by L * D^n (see
+    :func:`_unpack`).  The norm pass bounds every coefficient of every sum,
+    so B = bits(bound) + 1, the +1 for the sign, keeps the packing exact.
 
     The table depends on c alone, so the last one is kept for both rings
     (see :func:`_table`): calls that walk n one index at a time, or r, build
     one table between them, not one each.  One slot at most is kept, up to
     the largest N asked of its c; it is replaced, never changed, so threads
     may share it.  With Polynomial entries the slot holds the norm table and
-    the packed table with its B (see :func:`_packed_table`); the sums are
-    unpacked with that B.
+    the packed table with its B; the sums are unpacked with that B.
     """
     N = max(indices, default=0)
-    slot = _table(spec.c, N)
-    _, D, _, poly, table, _ = slot
+    _, D, _, poly, table, _ = _table(spec.c, N)
     weights = [_column(spec, r, n, D, table[n]) for n in indices]
+    B = 0
     if poly:
         norms = table
         bound = max((sum(abs(w) * norms[n][k] for k, w in ws)
                      for n, (_, ws) in zip(indices, weights)), default=0)
-        B, table = _packed_table(slot, N, bound.bit_length() + 1)
+        B, table = _table(spec.c, N, bound.bit_length() + 1)[5]
     values = []
     for n, (L, ws) in zip(indices, weights):
         if n == 0:
@@ -333,17 +326,13 @@ def closed_row(spec: BellSequenceSpec, r: int, indices) -> list:
         total = 0
         for k, w in ws:
             total += w * column[k]
-        denominator = L * D**n
         # a Polynomial, as Polynomial arithmetic would give it, exactly when
         # some nonzero term of the sum has a Polynomial factor c_j (B bounds
         # the coefficients of every T[n][k] with a weight, so its packed
         # value is 0 only when it is)
-        if poly and any(column[k] and any(norms[n - j][k - 1] for j in poly if j <= n - k + 1)
-                        for k, _ in ws):
-            values.append(Polynomial._exact([_quotient(r * digit, denominator)
-                                             for digit in _digits(total, B)]))
-        else:
-            values.append(_quotient(r * total, denominator))
+        typed = poly and any(column[k] and any(norms[n - j][k - 1] for j in poly if j <= n - k + 1)
+                             for k, _ in ws)
+        values.append(_unpack(total, B if typed else 0, L * D**n))
     return values
 
 
@@ -352,41 +341,36 @@ def _functional_row(spec: BellSequenceSpec, N: int) -> list:
 
     With E the common denominator of c, the series y(E t) has the int
     coefficients z_m = E^m y_m and satisfies the same equation with the int
-    entries E^j c_j.  Each z_m reads only z_0..z_(m-1): alpha = a*j + b = 0 gives
-    [m = j], alpha = 1 gives z_(m-j), and every other distinct alpha keeps
-    the row P = z^alpha, extended by Miller's recurrence
+    entries E^j c_j.  Each z_m reads only z_0..z_(m-1), in one row per
+    distinct alpha = a*j + b, the row P = z^alpha: alpha = 0 is the series
+    1, alpha = 1 is z itself, and every other row is extended by Miller's
+    recurrence
     m P_m = sum_{i=1..m} ((alpha+1) i - m) z_i P_(m-i), exact in ints as z_0 = 1.
     """
     E, entries = _scaled(spec.c[:N])
-    terms = [(j, e * E ** (j - 1), spec.a * j + spec.b) for j, e in entries]
-    powers = {alpha: [1] for _, _, alpha in terms if alpha not in (0, 1)}
     z = [1]
+    powers = {0: [1] + [0] * N, 1: z}
+    terms = [(j, e * E ** (j - 1), powers.setdefault(spec.a * j + spec.b, [1]))
+             for j, e in entries]
+    # the rows past the first two: z and the series 1 need no recurrence
+    rows = list(powers.items())[2:]
     for m in range(1, N + 1):
         total = 0
-        for j, e, alpha in terms:
+        for j, e, P in terms:
             if j > m:
                 break
-            if alpha == 1:
-                total += e * z[m - j]
-            elif alpha:
-                total += e * powers[alpha][m - j]
-            elif j == m:
-                total += e
+            total += e * P[m - j]
         z.append(total)
         if m == N:
             break
-        for alpha, P in powers.items():
+        for alpha, P in rows:
             s = 0
             for i in range(1, m + 1):
                 s += ((alpha + 1) * i - m) * z[i] * P[m - i]
             P_m, rest = divmod(s, m)
             assert not rest, "Miller's recurrence must divide exactly"
             P.append(P_m)
-    values, scale = [], 1
-    for z_m in z:
-        values.append(normalized(Fraction(z_m, scale)))
-        scale *= E
-    return values
+    return [_unpack(z_m, 0, E**m) for m, z_m in enumerate(z)]
 
 
 def bell_transform(spec: BellSequenceSpec, N: int) -> SequenceWindow:

@@ -6,7 +6,7 @@ The rational window, which comes from the functional equation instead, is
 checked against the kernel in value and type, and so are sequences of calls
 that share, grow, reuse and replace the kernel's last table, in both rings,
 the packed table of Polynomial entries with its width included, from one
-thread and from four."""
+thread and from four.  The one decode of packed sums inverts the packing."""
 
 import sys
 import threading
@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bellseq import seq
 from bellseq.conv import convolution_closed, shifted_convolution_closed
-from bellseq.ring import Polynomial, X
+from bellseq.ring import Polynomial, X, normalized
 from bellseq.seq import (
     BellSequenceSpec,
     RewrittenFormUndefined,
@@ -111,6 +111,8 @@ rational_entries = st.one_of(
        st.integers(0, 12))
 # a*j + b runs through 0 (j = 1), 1 (j = 2) and 2 (j = 3)
 @example(1, -1, [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 12)], 12)
+# every j shares a*j + b = 2, so one power row, and c_3 is zero
+@example(0, 2, [Fraction(1, 2), -3, 0, Fraction(5, 4)], 12)
 def test_rational_window_equals_kernel(a, b, c, N):
     if a == 0 and b == 0:
         b = 1
@@ -175,6 +177,36 @@ def test_polynomial_table_is_integral():
     assert all(type(e) is int for _, e in packed)
     table = _powers(packed, 20)
     assert all(type(v) is int for row in table for v in row)
+
+
+@st.composite
+def packed_values(draw):
+    """(p, B): an int at B = 0, else an int-coefficient Polynomial whose every
+    coefficient lies in [-2^(B-1), 2^(B-1)), the two ends of it drawn often."""
+    B = draw(st.integers(0, 80))
+    if not B:
+        return draw(st.integers(-10**30, 10**30)), 0
+    half = 1 << (B - 1)
+    digits = st.one_of(st.sampled_from((-half, half - 1)), st.integers(-half, half - 1))
+    return Polynomial(draw(st.lists(digits, max_size=8))), B
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_values(), st.integers(1, 10**6))
+@example((Polynomial(), 1), 3)  # the zero polynomial at B = 1
+@example((Polynomial((-1, 0, -1)), 1), 2)
+@example((Polynomial((-2**63, 2**63 - 1, -2**63)), 64), 6)
+@example((12, 0), 4)  # exact
+@example((-12, 0), 4)  # exact and negative
+@example((7, 0), 4)  # inexact
+@example((-7, 0), 4)  # inexact and negative
+def test_unpack_inverts_pack(packed, d):
+    p, B = packed
+    value = seq._unpack(_pack(p, B), B, d)
+    expected = normalized(p * Fraction(1, d))
+    assert value == expected
+    assert type(value) is type(expected)
+    assert_canonical(value)
 
 
 def assert_matches_table(spec, r, N):
