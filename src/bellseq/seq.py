@@ -27,10 +27,15 @@ the one power series with
 whose coefficients come one at a time, each power of y extended by
 J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, section 4.7) in
 O(N^2) int products per distinct exponent a*j + b, with no binomial.
-:func:`bell_transform` takes that route for rational c (and so do the
-rewritten form, :func:`decompose` with rational coefficients, and the
-oracle's window); :func:`closed_row` computes every convolution closed form
-and the windows with Polynomial entries.
+:func:`bell_transform` takes that route for rational c, and for
+Polynomial entries when every a*j + b of a nonzero c_j is 0 or 1: then there
+is no power to extend, y_n = sum_j c_j [y^(a*j+b)]_(n-j) is a linear
+recurrence (for a = 0, b = 1 the recurrence whose coefficients are c), and
+it runs over ints packed at x = 2^B.  So do the rewritten form,
+:func:`decompose`, and the oracle's window.  :func:`closed_row` computes
+every convolution closed form and the other windows with Polynomial
+entries.  Either route makes a value a Polynomial exactly where some nonzero
+cell T[n][k] with a nonzero weight passes through a Polynomial entry.
 
 In :func:`closed_row`, D, the common denominator of c, makes every D*c_j
 an int or a Polynomial with int coefficients.  Polynomials are packed into
@@ -167,9 +172,10 @@ class RecurrenceSpec:
 def _scaled(c) -> tuple:
     """(D, entries): D the lcm of the denominators in c (of the coefficients,
     for Polynomial entries) and entries the pairs (j, D*c_j) with c_j != 0,
-    each an int or a Polynomial with int coefficients."""
+    each an int or a Polynomial with int coefficients; scaled only when D > 1,
+    so an int-coefficient Polynomial costs no product."""
     D = lcm(*(cj.denominator for cj in c))
-    return D, [(j, normalized(D * cj)) for j, cj in enumerate(c, start=1) if cj]
+    return D, [(j, normalized(D * cj) if D > 1 else cj) for j, cj in enumerate(c, start=1) if cj]
 
 
 _UNIT = ((1,),)  # the table to N = 0
@@ -337,48 +343,94 @@ def closed_row(spec: BellSequenceSpec, r: int, indices) -> list:
 
 
 def _functional_row(spec: BellSequenceSpec, N: int) -> list:
-    """y_0..y_N for rational c, from y = 1 + sum_j c_j t^j y^(a*j + b).
+    """y_0..y_N from y = 1 + sum_j c_j t^j y^(a*j + b), for rational c, and
+    for Polynomial entries when every alpha = a*j + b of a nonzero c_j is 0
+    or 1.
 
-    With E the common denominator of c, the series y(E t) has the int
-    coefficients z_m = E^m y_m and satisfies the same equation with the int
-    entries E^j c_j.  Each z_m reads only z_0..z_(m-1), in one row per
-    distinct alpha = a*j + b, the row P = z^alpha: alpha = 0 is the series
-    1, alpha = 1 is z itself, and every other row is extended by Miller's
-    recurrence
+    With E the common denominator of c, the series y(E t) has the coefficients
+    z_m = E^m y_m and satisfies the same equation with the entries E^j c_j.
+    Each z_m reads only z_0..z_(m-1), in one row per distinct alpha, the row
+    P = z^alpha: alpha = 0 is the series 1, alpha = 1 is z itself, and every
+    other row is extended by Miller's recurrence
     m P_m = sum_{i=1..m} ((alpha+1) i - m) z_i P_(m-i), exact in ints as z_0 = 1.
+
+    With Polynomial entries there are no such rows, and z is linear in the
+    entries: the same recurrence on the norms ||E^j c_j||_1 bounds every
+    coefficient of every z_m, so one B serves the row, and it is run again on
+    the entries packed at x = 2^B.  A value is a Polynomial where
+    :func:`closed_row` at r = 1 makes it one: where no composition of m
+    passes through a Polynomial entry it is a scalar, and where one does and
+    the value is not constant it is a Polynomial.  closed_row types a constant
+    by its cells T[m][k], which can cancel, so a constant reached through a
+    Polynomial entry is one when a cell that no cancellation reaches has a
+    nonzero weight, T[m][m] = c_1^m or T[m][1] = c_m with c_1 or c_m a
+    Polynomial; otherwise it takes the type closed_row gives it.
     """
     E, entries = _scaled(spec.c[:N])
-    z = [1]
-    powers = {0: [1] + [0] * N, 1: z}
-    terms = [(j, e * E ** (j - 1), powers.setdefault(spec.a * j + spec.b, [1]))
-             for j, e in entries]
-    # the rows past the first two: z and the series 1 need no recurrence
-    rows = list(powers.items())[2:]
-    for m in range(1, N + 1):
-        total = 0
-        for j, e, P in terms:
-            if j > m:
+
+    def solve(values) -> list:
+        z = [1]
+        powers = {0: [1] + [0] * N, 1: z}
+        terms = [(j, v * E ** (j - 1), powers.setdefault(spec.a * j + spec.b, [1]))
+                 for (j, _), v in zip(entries, values)]
+        # the rows past the first two: z and the series 1 need no recurrence
+        rows = list(powers.items())[2:]
+        for m in range(1, N + 1):
+            total = 0
+            for j, e, P in terms:
+                if j > m:
+                    break
+                total += e * P[m - j]
+            z.append(total)
+            if m == N:
                 break
-            total += e * P[m - j]
-        z.append(total)
-        if m == N:
-            break
-        for alpha, P in rows:
-            s = 0
-            for i in range(1, m + 1):
-                s += ((alpha + 1) * i - m) * z[i] * P[m - i]
-            P_m, rest = divmod(s, m)
-            assert not rest, "Miller's recurrence must divide exactly"
-            P.append(P_m)
-    return [_unpack(z_m, 0, E**m) for m, z_m in enumerate(z)]
+            for alpha, P in rows:
+                s = 0
+                for i in range(1, m + 1):
+                    s += ((alpha + 1) * i - m) * z[i] * P[m - i]
+                P_m, rest = divmod(s, m)
+                assert not rest, "Miller's recurrence must divide exactly"
+                P.append(P_m)
+        return z
+
+    poly = {j for j, e in entries if isinstance(e, Polynomial)}
+    if not poly:
+        return [_unpack(z_m, 0, E**m) for m, z_m in enumerate(solve([e for _, e in entries]))]
+    norms = solve([_norm(e) for _, e in entries])
+    # the norm of the compositions with scalar parts only: less exactly where
+    # some composition passes through a Polynomial entry
+    scalar = solve([0 if j in poly else _norm(e) for j, e in entries])
+    B = max(norms).bit_length() + 1
+    z = solve([_pack(e, B) for _, e in entries])
+    values, unresolved = [], []
+    for m, (z_m, norm, reached) in enumerate(zip(z, norms, scalar)):
+        value = _unpack(z_m, B if norm != reached else 0, E**m)
+        # T[m][1] = c_m, and T[m][m] = c_1^m with weight binom((a+b) m, m-1)
+        if isinstance(value, Polynomial) and value.degree < 1 and not (
+                m in poly or (1 in poly and generalized_binomial((spec.a + spec.b) * m, m - 1))):
+            unresolved.append(m)
+        values.append(value)
+    for m, closed in zip(unresolved, closed_row(spec, 1, unresolved) if unresolved else ()):
+        if not isinstance(closed, Polynomial):
+            values[m] = _unpack(z[m], 0, E**m)
+    return values
 
 
 def bell_transform(spec: BellSequenceSpec, N: int) -> SequenceWindow:
     """y_0..y_N of the family defined by spec, exactly: from the functional
-    equation for rational c, from :func:`closed_row` at r = 1 otherwise."""
+    equation for rational c and wherever every alpha = a*j + b of a nonzero
+    c_j (j <= N) is 0 or 1, which includes every linear recurrence (a = 0,
+    b = 1); from :func:`closed_row` at r = 1 otherwise.  Either way a value is
+    a Polynomial exactly where closed_row makes it one, so the constant y_1
+    of jacobsthal stays a Polynomial:
+
+    >>> bell_transform(preset("jacobsthal")[0], 4).values
+    (1, Polynomial((1,)), Polynomial((1, 2)), Polynomial((1, 4)), Polynomial((1, 6, 4)))
+    """
     if N < 0:
         raise ValueError("N must be non-negative")
-    if spec.ring == "rational":
+    if spec.ring == "rational" or {
+            spec.a * j + spec.b for j, cj in enumerate(spec.c[:N], start=1) if cj} <= {0, 1}:
         values = _functional_row(spec, N)
     else:
         values = closed_row(spec, 1, range(N + 1))

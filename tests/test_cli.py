@@ -14,7 +14,7 @@ from bellseq.conv import shifted_convolution_closed
 from bellseq.ring import Polynomial, format_element, parse_element
 from bellseq.seq import bell_transform, preset
 
-from _oracles import fibonacci_list, iterative_partition_count
+from _oracles import fibonacci_list, iterative_partition_count, jacobsthal_polys, run_recurrence
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +62,13 @@ class TestSeqCommand:
         code, out = run_cli(capsys, "seq", "--preset", "motzkin", "--n", "3", "--quiet")
         assert code == 0
         assert out == ""
+
+
+    def test_deep_jacobsthal(self):
+        # y_n = J_(n+1), each a Polynomial, the constant y_0 and y_1 included
+        result = run_subprocess("seq", "--preset", "jacobsthal", "--n", "300")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == list(map(format_element, jacobsthal_polys(301)[1:]))
 
 
 class TestUsageErrors:
@@ -340,6 +347,19 @@ class TestDecomposeCommand:
         assert rec["lambdas"] == ["0", "1"]
         assert rec["values"] == ["0", "1", "1", "1+2x", "1+4x"]
         assert rec["recurrence_ok"] is True
+
+
+    def test_deep_polynomial_recurrence(self):
+        coeffs = (Polynomial((1, 1)), Polynomial((2, -1)), Polynomial((0, 3)))
+        init = (1, 0, 2)
+        result = run_subprocess("decompose", "--coeffs", "1+x,2-x,3x", "--init", "1,0,2",
+                                "--n", "200")
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert lines[1:] == [
+            "sequence: " + ",".join(map(format_element, run_recurrence(coeffs, init, 200))),
+            "recurrence: ok",
+        ]
 
 
 class TestBellCommand:

@@ -2,8 +2,9 @@
 enumerating pi(n, k) (see _oracles.py), on random rational and polynomial
 specs, at large N against identities that need no enumeration, and, with
 large coefficients, against the same table built in Polynomial arithmetic.
-The rational window, which comes from the functional equation instead, is
-checked against the kernel in value and type, and so are sequences of calls
+The windows that come from the functional equation instead, rational ones and
+those whose every alpha = a*j + b is 0 or 1, are checked against the kernel in
+value and type, and so are sequences of calls
 that share, grow, reuse and replace the kernel's last table, in both rings,
 the packed table of Polynomial entries with its width included, from one
 thread and from four.  The one decode of packed sums inverts the packing."""
@@ -122,6 +123,45 @@ def test_rational_window_equals_kernel(a, b, c, N):
     assert values == expected
     assert [type(v) for v in values] == [type(e) for e in expected]
     assert_canonical(*values)
+
+
+window_entries = st.one_of(
+    st.just(0), scalars, scalars.map(lambda v: Polynomial((v,))), polys,
+    st.lists(st.integers(-2, 2), min_size=2, max_size=3).map(Polynomial),
+)
+# the (a, b) whose alpha = a*j + b is 0 or 1 at every j drawn
+alpha_01_specs = st.one_of(
+    st.tuples(st.just((0, 1)), st.lists(window_entries, max_size=4)),
+    st.tuples(st.just((1, -1)), st.lists(window_entries, max_size=2)),
+    st.tuples(st.sampled_from(((-1, 1), (1, 0))), st.lists(window_entries, max_size=1)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha_01_specs, st.integers(0, 12))
+# the compositions of 4 through c_3 give T[4][2] = 2*c_1*c_3 + c_2^2 = 0, so
+# y_4 is a scalar although a composition passes through a Polynomial entry
+@example(((0, 1), [2, 2, Polynomial((-1,))]), 4)
+# the same at n = 6, where the Polynomial parts cancel to a constant
+@example(((0, 1), [0, 1, X, Fraction(-1, 2) * X**2]), 6)
+def test_polynomial_window_equals_kernel(ab_c, N):
+    (a, b), c = ab_c
+    spec = BellSequenceSpec(a, b, c)
+    values = list(bell_transform(spec, N).values)
+    expected = closed_row(spec, 1, range(N + 1))
+    assert values == expected
+    assert [type(v) for v in values] == [type(e) for e in expected]
+    assert_canonical(*values)
+
+
+def test_linear_recurrence_window_keeps_the_slot():
+    # a nonzero Polynomial c_1 types every constant value without a table, so
+    # the windows neither build nor replace the kept slot
+    closed_row(BellSequenceSpec(1, 1, (1 + X, 2)), 1, range(6))
+    kept = seq._last_table
+    for spec in (preset("jacobsthal")[0], BellSequenceSpec(0, 1, (3 * X, 0, Polynomial((2,)), 1))):
+        bell_transform(spec, 60)
+    assert seq._last_table is kept
 
 
 def test_catalan_window_at_large_N():
