@@ -31,10 +31,12 @@ O(N^2) int products per distinct exponent a*j + b, with no binomial.
 Polynomial entries when every a*j + b of a nonzero c_j is 0 or 1: then there
 is no power to extend, y_n = sum_j c_j [y^(a*j+b)]_(n-j) is a linear
 recurrence (for a = 0, b = 1 the recurrence whose coefficients are c), and
-it runs over ints packed at x = 2^B.  So do the rewritten form,
-:func:`decompose`, and the oracle's window.  :func:`closed_row` computes
-every convolution closed form and the other windows with Polynomial
-entries.  Either route makes a value a Polynomial exactly where some nonzero
+it runs over ints packed at x = 2^B.  So do the rewritten form and the
+oracle's window.  :func:`decompose` decodes only y_0..y_(d-1), for its
+lambdas, and sums sum_j lambda_j y_(n-j) in the same ints, the lambdas
+scaled to ints, so its ring products do not grow with N.
+:func:`closed_row` computes every convolution closed form and the other
+windows with Polynomial entries.  Either route makes a value a Polynomial exactly where some nonzero
 cell T[n][k] with a nonzero weight passes through a Polynomial entry.
 
 In :func:`closed_row`, D, the common denominator of c, makes every D*c_j
@@ -314,14 +316,17 @@ def closed_row(spec: BellSequenceSpec, r: int, indices) -> list:
     may share it.  With Polynomial entries the slot holds the norm table and
     the packed table with its B; the sums are unpacked with that B.
     """
-    N = max(indices, default=0)
+    if not indices:
+        # no table either, so the kept slot of another c stays
+        return []
+    N = max(indices)
     _, D, _, poly, table, _ = _table(spec.c, N)
     weights = [_column(spec, r, n, D, table[n]) for n in indices]
     B = 0
     if poly:
         norms = table
         bound = max((sum(abs(w) * norms[n][k] for k, w in ws)
-                     for n, (_, ws) in zip(indices, weights)), default=0)
+                     for n, (_, ws) in zip(indices, weights)))
         B, table = _table(spec.c, N, bound.bit_length() + 1)[5]
     values = []
     for n, (L, ws) in zip(indices, weights):
@@ -342,19 +347,47 @@ def closed_row(spec: BellSequenceSpec, r: int, indices) -> list:
     return values
 
 
-def _functional_row(spec: BellSequenceSpec, N: int) -> list:
-    """y_0..y_N from y = 1 + sum_j c_j t^j y^(a*j + b), for rational c, and
-    for Polynomial entries when every alpha = a*j + b of a nonzero c_j is 0
-    or 1.
-
-    With E the common denominator of c, the series y(E t) has the coefficients
-    z_m = E^m y_m and satisfies the same equation with the entries E^j c_j.
-    Each z_m reads only z_0..z_(m-1), in one row per distinct alpha, the row
-    P = z^alpha: alpha = 0 is the series 1, alpha = 1 is z itself, and every
-    other row is extended by Miller's recurrence
+def _solve(spec: BellSequenceSpec, N: int, E: int, terms) -> list:
+    """z_0..z_N of z = 1 + sum_j v_j E^(j-1) t^j z^(a*j + b), terms the pairs
+    (j, v_j) of ints, ascending in j: with v_j = E c_j this is y(E t), so
+    z_m = E^m y_m.  Each z_m reads only z_0..z_(m-1), in one row per distinct
+    alpha = a*j + b, the row P = z^alpha: alpha = 0 is the series 1, alpha = 1
+    is z itself, and every other row is extended by Miller's recurrence
     m P_m = sum_{i=1..m} ((alpha+1) i - m) z_i P_(m-i), exact in ints as z_0 = 1.
+    """
+    z = [1]
+    powers = {0: [1] + [0] * N, 1: z}
+    terms = [(j, v * E ** (j - 1), powers.setdefault(spec.a * j + spec.b, [1])) for j, v in terms]
+    # the rows past the first two: z and the series 1 need no recurrence
+    rows = list(powers.items())[2:]
+    for m in range(1, N + 1):
+        total = 0
+        for j, e, P in terms:
+            if j > m:
+                break
+            total += e * P[m - j]
+        z.append(total)
+        if m == N:
+            break
+        for alpha, P in rows:
+            s = 0
+            for i in range(1, m + 1):
+                s += ((alpha + 1) * i - m) * z[i] * P[m - i]
+            P_m, rest = divmod(s, m)
+            assert not rest, "Miller's recurrence must divide exactly"
+            P.append(P_m)
+    return z
 
-    With Polynomial entries there are no such rows, and z is linear in the
+
+def _functional_ints(spec: BellSequenceSpec, N: int) -> tuple:
+    """(E, entries, B, z, norms, typed) for y_0..y_N from
+    y = 1 + sum_j c_j t^j y^(a*j + b), for rational c, and for Polynomial
+    entries when every alpha = a*j + b of a nonzero c_j is 0 or 1: E and
+    entries those of :func:`_scaled` on c_1..c_N, z_m = E^m y_m from
+    :func:`_solve` as an int, packed at x = 2^B when B > 0, norms[m] >=
+    ||z_m||_1, and typed[m] whether y_m is a Polynomial.
+
+    With Polynomial entries there are no Miller rows, and z is linear in the
     entries: the same recurrence on the norms ||E^j c_j||_1 bounds every
     coefficient of every z_m, so one B serves the row, and it is run again on
     the entries packed at x = 2^B.  A value is a Polynomial where
@@ -364,56 +397,35 @@ def _functional_row(spec: BellSequenceSpec, N: int) -> list:
     by its cells T[m][k], which can cancel, so a constant reached through a
     Polynomial entry is one when a cell that no cancellation reaches has a
     nonzero weight, T[m][m] = c_1^m or T[m][1] = c_m with c_1 or c_m a
-    Polynomial; otherwise it takes the type closed_row gives it.
+    Polynomial; otherwise it takes the type closed_row gives it.  A packed
+    z_m is a constant exactly when it lies in [-2^(B-1), 2^(B-1)), so no
+    value is decoded here.
     """
     E, entries = _scaled(spec.c[:N])
-
-    def solve(values) -> list:
-        z = [1]
-        powers = {0: [1] + [0] * N, 1: z}
-        terms = [(j, v * E ** (j - 1), powers.setdefault(spec.a * j + spec.b, [1]))
-                 for (j, _), v in zip(entries, values)]
-        # the rows past the first two: z and the series 1 need no recurrence
-        rows = list(powers.items())[2:]
-        for m in range(1, N + 1):
-            total = 0
-            for j, e, P in terms:
-                if j > m:
-                    break
-                total += e * P[m - j]
-            z.append(total)
-            if m == N:
-                break
-            for alpha, P in rows:
-                s = 0
-                for i in range(1, m + 1):
-                    s += ((alpha + 1) * i - m) * z[i] * P[m - i]
-                P_m, rest = divmod(s, m)
-                assert not rest, "Miller's recurrence must divide exactly"
-                P.append(P_m)
-        return z
-
     poly = {j for j, e in entries if isinstance(e, Polynomial)}
     if not poly:
-        return [_unpack(z_m, 0, E**m) for m, z_m in enumerate(solve([e for _, e in entries]))]
-    norms = solve([_norm(e) for _, e in entries])
+        z = _solve(spec, N, E, entries)
+        return E, entries, 0, z, list(map(abs, z)), [False] * (N + 1)
+    norms = _solve(spec, N, E, [(j, _norm(e)) for j, e in entries])
     # the norm of the compositions with scalar parts only: less exactly where
     # some composition passes through a Polynomial entry
-    scalar = solve([0 if j in poly else _norm(e) for j, e in entries])
+    scalar = _solve(spec, N, E, [(j, 0 if j in poly else _norm(e)) for j, e in entries])
     B = max(norms).bit_length() + 1
-    z = solve([_pack(e, B) for _, e in entries])
-    values, unresolved = [], []
-    for m, (z_m, norm, reached) in enumerate(zip(z, norms, scalar)):
-        value = _unpack(z_m, B if norm != reached else 0, E**m)
-        # T[m][1] = c_m, and T[m][m] = c_1^m with weight binom((a+b) m, m-1)
-        if isinstance(value, Polynomial) and value.degree < 1 and not (
-                m in poly or (1 in poly and generalized_binomial((spec.a + spec.b) * m, m - 1))):
-            unresolved.append(m)
-        values.append(value)
-    for m, closed in zip(unresolved, closed_row(spec, 1, unresolved) if unresolved else ()):
-        if not isinstance(closed, Polynomial):
-            values[m] = _unpack(z[m], 0, E**m)
-    return values
+    z = _solve(spec, N, E, [(j, _pack(e, B)) for j, e in entries])
+    typed = [norm != reached for norm, reached in zip(norms, scalar)]
+    half = 1 << (B - 1)
+    # T[m][1] = c_m, and T[m][m] = c_1^m with weight binom((a+b) m, m-1)
+    unresolved = [m for m, z_m in enumerate(z) if typed[m] and -half <= z_m < half and not (
+        m in poly or (1 in poly and generalized_binomial((spec.a + spec.b) * m, m - 1)))]
+    for m, closed in zip(unresolved, closed_row(spec, 1, unresolved)):
+        typed[m] = isinstance(closed, Polynomial)
+    return E, entries, B, z, norms, typed
+
+
+def _functional_row(spec: BellSequenceSpec, N: int) -> list:
+    """y_0..y_N from :func:`_functional_ints`, each value decoded once."""
+    E, _, B, z, _, typed = _functional_ints(spec, N)
+    return [_unpack(z_m, B if t else 0, E**m) for m, (z_m, t) in enumerate(zip(z, typed))]
 
 
 def bell_transform(spec: BellSequenceSpec, N: int) -> SequenceWindow:
@@ -446,11 +458,18 @@ def bell_transform_rewritten(spec: BellSequenceSpec, N: int) -> SequenceWindow:
     the first offending pair (in lexicographic order) is reported otherwise.
     Where defined it is :func:`bell_transform`: with t = a*n + b*k + 1 != 0,
     binom(t, k)/t = binom(t-1, k-1)/k for k >= 1, and the k = 0 term is [n = 0].
+    The guard solves b*k = -(a*n + 1) for k once per n, so it is O(N); for
+    b = 0 every k vanishes with a*n + 1, and the first is k = 0.
     """
     for n in range(N + 1):
-        for k in range(n + 1):
-            if spec.a * n + spec.b * k + 1 == 0:
-                raise RewrittenFormUndefined(n, k)
+        t = spec.a * n + 1
+        if not spec.b:
+            if not t:
+                raise RewrittenFormUndefined(n, 0)
+            continue
+        k, rest = divmod(-t, spec.b)
+        if not rest and 0 <= k <= n:
+            raise RewrittenFormUndefined(n, k)
     return bell_transform(spec, N)
 
 
@@ -501,25 +520,51 @@ def decompose(rec: RecurrenceSpec, N: int) -> tuple:
 
     y is the a=0, b=1 transform of the recurrence coefficients; the lambdas
     solve the unit-lower-triangular system a_i = sum_j lambda_j y_{i-j} for
-    i < d.  Returns (lambdas, reconstruction window over 0..N).
+    i < d, in ring arithmetic over y_0..y_(d-1).  Returns (lambdas,
+    reconstruction window over 0..N).
+
+    The window is summed in ints: with z_m = E^m y_m from
+    :func:`_functional_ints`, L the lcm of the denominators of the lambdas
+    and lambda'_j = L lambda_j E^j, L E^n a_n = sum_{j <= min(n, d-1)}
+    lambda'_j z_(n-j), one int per n, decoded once by :func:`_unpack`.  When
+    a lambda or a value of y is a Polynomial the terms are packed at x = 2^W,
+    W from the bound sum_j ||lambda'_j||_1 ||z_(n-j)||_1 over the norm row,
+    and z is solved once more when W is wider than its own B.  a_n is a
+    Polynomial exactly when some term has a Polynomial factor, lambda_j or
+    y_(n-j), as Polynomial arithmetic gives it, 0 * Polynomial included.
+    Only the lambdas take ring products, so their number does not grow
+    with N.
     """
     d = rec.order
     if N < d - 1:
         raise ValueError(f"N must be at least d-1 = {d - 1}")
-    y = bell_transform(BellSequenceSpec(0, 1, rec.coefficients), N)
+    spec = BellSequenceSpec(0, 1, rec.coefficients)
+    E, entries, B, z, norms, typed = _functional_ints(spec, N)
+    y = [_unpack(z[m], B if typed[m] else 0, E**m) for m in range(d)]
     lambdas = []
     for i in range(d):
         acc = rec.initial[i]
         for j in range(i):
-            acc = acc - lambdas[j] * y.value_at(i - j)
+            acc = acc - lambdas[j] * y[i - j]
         lambdas.append(normalized(acc))
+    L = lcm(*(v.denominator for v in lambdas))
+    scaled = [normalized(L * v) if L > 1 else v for v in lambdas]
+    poly = [isinstance(v, Polynomial) for v in lambdas]
+    W = B
+    if B or any(poly):
+        norm = [_norm(v) * E**j for j, v in enumerate(scaled)]
+        bound = max(sum(w * norms[n - j] for j, w in enumerate(norm[:n + 1])) for n in range(N + 1))
+        W = max(B, bound.bit_length() + 1)
+        if B and W > B:
+            z = _solve(spec, N, E, [(j, _pack(e, W)) for j, e in entries])
+    packed = [_pack(v, W) * E**j for j, v in enumerate(scaled)]
     values = []
     for n in range(N + 1):
-        acc = 0
-        for j in range(d):
-            if n - j >= 0:
-                acc = acc + lambdas[j] * y.value_at(n - j)
-        values.append(normalized(acc))
+        total, typed_n = 0, False
+        for j, v in enumerate(packed[:n + 1]):
+            total += v * z[n - j]
+            typed_n = typed_n or poly[j] or typed[n - j]
+        values.append(_unpack(total, W if typed_n else 0, L * E**n))
     return tuple(lambdas), SequenceWindow(tuple(values))
 
 

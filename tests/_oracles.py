@@ -5,7 +5,8 @@ triangle recurrences, defining sequence recurrences, exhaustive enumeration
 via itertools, the paper's partial-Bell-polynomial definitions evaluated
 by enumerating the index set pi(n, k) (``bell_eval``) instead of through the
 power-series kernel, and that kernel's table of truncated powers built in
-``Polynomial`` arithmetic, with no packing into ints.  Only the
+``Polynomial`` arithmetic, with no packing into ints, and ``decompose``'s
+reconstruction summed in ring arithmetic over a given window.  Only the
 exact-arithmetic substrate (Fraction, Polynomial, generalized_binomial) and
 ``bell_eval`` are shared with the package.
 """
@@ -90,6 +91,38 @@ def run_recurrence(coeffs, init, n_max):
     for n in range(d, n_max + 1):
         vals.append(sum(coeffs[i] * vals[n - 1 - i] for i in range(d)))
     return vals[: n_max + 1]
+
+
+def decompose_by_ring(initial, y):
+    """(lambdas, values) of a recurrence with the given initial values as
+    sum_j lambda_j y_(n-j) over the window values y, in ring arithmetic: the
+    lambdas solve a_i = sum_{j<=i} lambda_j y_(i-j) for i < d, and each value
+    is 0 + lambda_0 y_n + lambda_1 y_(n-1) + ..., so it is a Polynomial
+    exactly when some product has a Polynomial factor, 0 * Polynomial
+    included."""
+    lambdas = []
+    for i, a_i in enumerate(initial):
+        acc = a_i
+        for j in range(i):
+            acc = acc - lambdas[j] * y[i - j]
+        lambdas.append(normalized(acc))
+    values = []
+    for n in range(len(y)):
+        acc = 0
+        for j, lam in enumerate(lambdas[: n + 1]):
+            acc = acc + lam * y[n - j]
+        values.append(normalized(acc))
+    return tuple(lambdas), values
+
+
+def first_vanishing_pair(a, b, N):
+    """The first (n, k) in lexicographic order, 0 <= k <= n <= N, with
+    a*n + b*k + 1 == 0, by scanning every pair; None when there is none."""
+    for n in range(N + 1):
+        for k in range(n + 1):
+            if a * n + b * k + 1 == 0:
+                return n, k
+    return None
 
 
 def fibonacci_list(n_max):

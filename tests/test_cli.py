@@ -256,8 +256,8 @@ class TestConvCommand:
 
     @pytest.mark.parametrize("name", ["fibonacci", "jacobsthal"])
     # m = n - delta*r runs below 0 (zeros), through 0 (the 1) and above; n = 0
-    # is the empty row
-    @pytest.mark.parametrize("r, delta, n", [(2, 1, 0), (2, 1, 6), (3, 2, 9), (1, 3, 2)])
+    # is the empty row, and (3, 1, 2) asks the kernel for no m >= 0
+    @pytest.mark.parametrize("r, delta, n", [(2, 1, 0), (2, 1, 6), (3, 2, 9), (1, 3, 2), (3, 1, 2)])
     def test_closed_only_shifted(self, capsys, name, r, delta, n):
         code, out = run_cli(capsys, "conv", "--preset", name, "--r", str(r), "--delta",
                             str(delta), "--n", str(n), "--closed-only")

@@ -266,6 +266,14 @@ def test_empty_row_with_polynomial_entries():
     assert closed_row(preset("jacobsthal")[0], 2, []) == []
 
 
+def test_empty_row_keeps_the_slot():
+    # a row of no index builds no table, so the kept slot of another c stays
+    closed_row(preset("catalan")[0], 1, range(200))
+    kept = seq._last_table
+    assert closed_row(preset("motzkin")[0], 2, []) == []
+    assert seq._last_table is kept and len(kept[4]) == 200
+
+
 big_scalars = st.fractions(min_value=-10**9, max_value=10**9, max_denominator=12)
 big_polys = st.lists(big_scalars, min_size=1, max_size=5).map(Polynomial)
 

@@ -3,6 +3,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bellseq.ring import Polynomial, X, generalized_binomial
 from bellseq.seq import (
@@ -22,7 +23,9 @@ from bellseq.seq import (
 
 from _oracles import (
     catalan_list,
+    decompose_by_ring,
     fibonacci_list,
+    first_vanishing_pair,
     is_canonical,
     jacobsthal_polys,
     lucas_list,
@@ -167,6 +170,20 @@ class TestRewrittenForm:
         spec = BellSequenceSpec(-1, 1, (1, 1))
         assert bell_transform_rewritten(spec, 0).values == (1,)
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(-6, 6), st.integers(-6, 6), st.integers(0, 40))
+    @example(-1, 0, 3)  # b = 0: every k of n = 1 vanishes, k = 0 is reported
+    @example(0, -1, 5)  # a = 0: (1, 1), k = n
+    @example(-2, 3, 40)  # 3k = 2n - 1 first at (2, 1), 0 < k < n
+    def test_guard_matches_scan(self, a, b, N):
+        assume(a or b)
+        try:
+            bell_transform_rewritten(BellSequenceSpec(a, b, (1,)), N)
+            reported = None
+        except RewrittenFormUndefined as exc:
+            reported = exc.n, exc.k
+        assert reported == first_vanishing_pair(a, b, N)
+
 
 class TestPresets:
     def test_unknown_name(self):
@@ -241,6 +258,15 @@ class TestGouldIdentity:
                 assert lhs == 2 ** n * generalized_binomial(2 * x, n)
 
 
+scalars = st.one_of(st.just(0), st.integers(-4, 4),
+                    st.fractions(min_value=-4, max_value=4, max_denominator=12))
+entries = st.one_of(scalars, scalars.map(lambda v: Polynomial((v,))),
+                    st.lists(scalars, min_size=1, max_size=3).map(Polynomial))
+# (coefficients, initial values), each of length d = 1..4
+recurrences = st.integers(1, 4).flatmap(
+    lambda d: st.tuples(*[st.lists(entries, min_size=d, max_size=d).map(tuple)] * 2))
+
+
 class TestDecompose:
     def test_fibonacci(self):
         lambdas, window = decompose(RecurrenceSpec((1, 1), (0, 1)), 8)
@@ -279,6 +305,44 @@ class TestDecompose:
             lambdas, window = decompose(RecurrenceSpec(coeffs, init), 30)
             assert list(window.values) == run_recurrence(coeffs, init, 30)
             assert len(lambdas) == d
+
+    @settings(max_examples=300, deadline=None)
+    @given(recurrences, st.integers(0, 20))
+    # a constant Polynomial lambda_0 over an int window: every value is a
+    # constant Polynomial, typed by lambda_0 alone
+    @example(((2,), (Polynomial((3,)),)), 4)
+    # y_1 = Polynomial((1,)): a_1 = 0 * y_1 + 1 * y_0 is a Polynomial
+    @example(((Polynomial((1,)), 2 * X), (0, 1)), 6)
+    # zero entries and Fractions in both rings
+    @example(((Fraction(1, 2), 0, X), (0, Polynomial((Fraction(-2, 3), 1)), 0)), 9)
+    def test_equals_ring_reference(self, rec_lists, extra):
+        coeffs, init = rec_lists
+        N = len(coeffs) - 1 + extra
+        lambdas, window = decompose(RecurrenceSpec(coeffs, init), N)
+        y = bell_transform(BellSequenceSpec(0, 1, coeffs), N).values
+        expected_lambdas, expected = decompose_by_ring(RecurrenceSpec(coeffs, init).initial, y)
+        # repr tells a constant Polynomial from its scalar, and an int from a Fraction
+        assert list(map(repr, lambdas)) == list(map(repr, expected_lambdas))
+        assert list(map(repr, window.values)) == list(map(repr, expected))
+
+    def test_ring_products_do_not_grow_with_N(self, monkeypatch):
+        calls = []
+        multiply = Polynomial.__mul__
+
+        def counted(self, other):
+            calls.append(other)
+            return multiply(self, other)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        monkeypatch.setattr(Polynomial, "__rmul__", counted)
+        rec = RecurrenceSpec((1 + X, 2 - X, 3 * X), (1, 0, 2))
+        counts = []
+        for N in (30, 90):
+            del calls[:]
+            lambdas, window = decompose(rec, N)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+        assert list(window.values) == run_recurrence(rec.coefficients, rec.initial, 90)
 
     def test_window_too_short_rejected(self):
         with pytest.raises(ValueError):
