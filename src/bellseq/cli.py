@@ -7,7 +7,8 @@ Exit codes: 0 success / all checks matched, 1 a verification check failed,
 the request, exits 2 with one ``error:`` line on stderr; so does a
 ``conv --check`` request whose oracle would build more than
 MAX_ORACLE_PARTS composition parts, and a ``bell`` request whose B_{n,k}
-has more than MAX_BELL_EXPONENTS exponents over all its terms.  A reader
+has more than MAX_BELL_EXPONENTS exponents over all its terms, and a
+request whose memory cannot be allocated.  A reader
 that closes stdout early ends the command quietly, with exit 0.
 """
 
@@ -317,12 +318,14 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
-    emitter = _Emitter(args.format, args.quiet, sys.stdout)
     try:
-        return args.handler(args, emitter)
+        # inside the try: parsing a list of ring elements allocates too
+        args = _PARSER.parse_args(argv)
+        return args.handler(args, _Emitter(args.format, args.quiet, sys.stdout))
     except ValueError as exc:
         _PARSER.error(str(exc))
+    except MemoryError:
+        _PARSER.error("the request needs more memory than can be allocated")
 
 
 def run():

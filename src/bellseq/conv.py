@@ -266,8 +266,6 @@ def convolution_closed_specialized(
         total = 0
         for k in range((n + 1) // 2, n + 1):
             binoms = generalized_binomial(n + r - 1, k - 1) * generalized_binomial(k, n - k)
-            if binoms == 0:
-                continue
             total = total + Fraction(r * binoms, k) * c1 ** (2 * k - n) * c2 ** (n - k)
         return normalized(total)
     raise ValueError(f"unknown family {family!r}; choose from {', '.join(SPECIALIZED_FAMILIES)}")

@@ -143,10 +143,6 @@ class Polynomial:
         a, b = self._coeffs, other._coeffs
         if not a or not b:
             return Polynomial()
-        # a scalar operand: the D * c_j and D * y_i scalings, presets, and the
-        # lambdas of decompose
-        if len(b) == 1:
-            return Polynomial._exact([ca * b[0] for ca in a])
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:

@@ -31,10 +31,11 @@ O(N^2) int products per distinct exponent a*j + b, with no binomial.
 Polynomial entries when every a*j + b of a nonzero c_j is 0 or 1: then there
 is no power to extend, y_n = sum_j c_j [y^(a*j+b)]_(n-j) is a linear
 recurrence (for a = 0, b = 1 the recurrence whose coefficients are c), and
-it runs over ints packed at x = 2^B.  So do the rewritten form and the
-oracle's window.  :func:`decompose` decodes only y_0..y_(d-1), for its
-lambdas, and sums sum_j lambda_j y_(n-j) in the same ints, the lambdas
-scaled to ints, so its ring products do not grow with N.
+it runs over the entries' norms for B, then over ints packed at x = 2^B.
+So do the rewritten form and the oracle's window.  :func:`decompose` takes
+y_0..y_(d-1) from a window of d values, for its lambdas, and sums
+sum_j lambda_j y_(n-j) in the same ints, the lambdas scaled to ints, so
+its ring products do not grow with N.
 :func:`closed_row` computes every convolution closed form and the other
 windows with Polynomial entries.  Either route makes a value a Polynomial exactly where some nonzero
 cell T[n][k] with a nonzero weight passes through a Polynomial entry.
@@ -291,7 +292,7 @@ def _unpack(value: int, B: int, denominator: int) -> RingElement:
         return Fraction(value, denominator) if remainder else quotient
     coefficients = []
     half = 1 << (B - 1)
-    for _ in range(value.bit_length() // B + 2):
+    while value:
         digit = ((value + half) & ((1 << B) - 1)) - half
         coefficients.append(_unpack(digit, 0, denominator))
         value = (value - digit) >> B
@@ -379,52 +380,52 @@ def _solve(spec: BellSequenceSpec, N: int, E: int, terms) -> list:
     return z
 
 
-def _functional_ints(spec: BellSequenceSpec, N: int) -> tuple:
-    """(E, entries, B, z, norms, typed) for y_0..y_N from
-    y = 1 + sum_j c_j t^j y^(a*j + b), for rational c, and for Polynomial
-    entries when every alpha = a*j + b of a nonzero c_j is 0 or 1: E and
-    entries those of :func:`_scaled` on c_1..c_N, z_m = E^m y_m from
-    :func:`_solve` as an int, packed at x = 2^B when B > 0, norms[m] >=
-    ||z_m||_1, and typed[m] whether y_m is a Polynomial.
+def _functional_ints(spec: BellSequenceSpec, N: int, lambdas=()) -> tuple:
+    """(E, B, z, typed) for y_0..y_N from y = 1 + sum_j c_j t^j y^(a*j + b),
+    for rational c, and for Polynomial entries when every alpha = a*j + b of
+    a nonzero c_j is 0 or 1: E that of :func:`_scaled` on c_1..c_N, z_m =
+    E^m y_m from :func:`_solve` as an int, packed at x = 2^B when y has
+    Polynomial entries, and typed[m] whether y_m is a Polynomial.
+
+    lambdas are ints or int-coefficient Polynomials l_j, j from 0: B leaves
+    room for every sum sum_j l_j E^j z_(n-j) packed at x = 2^B, as
+    bits(max ||z_m||_1) + 1 + bits(sum_j ||l_j||_1 E^j), the +1 for the sign.
 
     With Polynomial entries there are no Miller rows, and z is linear in the
     entries: the same recurrence on the norms ||E^j c_j||_1 bounds every
     coefficient of every z_m, so one B serves the row, and it is run again on
     the entries packed at x = 2^B.  A value is a Polynomial where
-    :func:`closed_row` at r = 1 makes it one: where no composition of m
-    passes through a Polynomial entry it is a scalar, and where one does and
-    the value is not constant it is a Polynomial.  closed_row types a constant
-    by its cells T[m][k], which can cancel, so a constant reached through a
-    Polynomial entry is one when a cell that no cancellation reaches has a
-    nonzero weight, T[m][m] = c_1^m or T[m][1] = c_m with c_1 or c_m a
-    Polynomial; otherwise it takes the type closed_row gives it.  A packed
-    z_m is a constant exactly when it lies in [-2^(B-1), 2^(B-1)), so no
-    value is decoded here.
+    :func:`closed_row` at r = 1 makes it one.  Below the first index p of a
+    Polynomial entry no composition passes through one, so y_m is a scalar;
+    from p on a value that is not constant is a Polynomial.  closed_row types
+    a constant by its cells T[m][k], which can cancel, so a constant is one
+    when a cell that no cancellation reaches has a nonzero weight, T[m][m] =
+    c_1^m or T[m][1] = c_m with c_1 or c_m a Polynomial; otherwise it takes
+    the type closed_row gives it.  A packed z_m is a constant exactly when it
+    lies in [-2^(B-1), 2^(B-1)), so no value is decoded here.
     """
     E, entries = _scaled(spec.c[:N])
-    poly = {j for j, e in entries if isinstance(e, Polynomial)}
+    poly = [j for j, e in entries if isinstance(e, Polynomial)]
+    room = sum(_norm(v) * E**j for j, v in enumerate(lambdas)).bit_length()
     if not poly:
         z = _solve(spec, N, E, entries)
-        return E, entries, 0, z, list(map(abs, z)), [False] * (N + 1)
+        return E, max(map(abs, z)).bit_length() + 1 + room, z, [False] * (N + 1)
     norms = _solve(spec, N, E, [(j, _norm(e)) for j, e in entries])
-    # the norm of the compositions with scalar parts only: less exactly where
-    # some composition passes through a Polynomial entry
-    scalar = _solve(spec, N, E, [(j, 0 if j in poly else _norm(e)) for j, e in entries])
-    B = max(norms).bit_length() + 1
+    B = max(norms).bit_length() + 1 + room
     z = _solve(spec, N, E, [(j, _pack(e, B)) for j, e in entries])
-    typed = [norm != reached for norm, reached in zip(norms, scalar)]
     half = 1 << (B - 1)
+    typed = [m >= poly[0] for m in range(N + 1)]
     # T[m][1] = c_m, and T[m][m] = c_1^m with weight binom((a+b) m, m-1)
     unresolved = [m for m, z_m in enumerate(z) if typed[m] and -half <= z_m < half and not (
-        m in poly or (1 in poly and generalized_binomial((spec.a + spec.b) * m, m - 1)))]
+        m in poly or (poly[0] == 1 and generalized_binomial((spec.a + spec.b) * m, m - 1)))]
     for m, closed in zip(unresolved, closed_row(spec, 1, unresolved)):
         typed[m] = isinstance(closed, Polynomial)
-    return E, entries, B, z, norms, typed
+    return E, B, z, typed
 
 
 def _functional_row(spec: BellSequenceSpec, N: int) -> list:
     """y_0..y_N from :func:`_functional_ints`, each value decoded once."""
-    E, _, B, z, _, typed = _functional_ints(spec, N)
+    E, B, z, typed = _functional_ints(spec, N)
     return [_unpack(z_m, B if t else 0, E**m) for m, (z_m, t) in enumerate(zip(z, typed))]
 
 
@@ -520,27 +521,25 @@ def decompose(rec: RecurrenceSpec, N: int) -> tuple:
 
     y is the a=0, b=1 transform of the recurrence coefficients; the lambdas
     solve the unit-lower-triangular system a_i = sum_j lambda_j y_{i-j} for
-    i < d, in ring arithmetic over y_0..y_(d-1).  Returns (lambdas,
-    reconstruction window over 0..N).
+    i < d, in ring arithmetic over y_0..y_(d-1) from :func:`_functional_row`
+    at d - 1.  Returns (lambdas, reconstruction window over 0..N).
 
     The window is summed in ints: with z_m = E^m y_m from
     :func:`_functional_ints`, L the lcm of the denominators of the lambdas
     and lambda'_j = L lambda_j E^j, L E^n a_n = sum_{j <= min(n, d-1)}
-    lambda'_j z_(n-j), one int per n, decoded once by :func:`_unpack`.  When
-    a lambda or a value of y is a Polynomial the terms are packed at x = 2^W,
-    W from the bound sum_j ||lambda'_j||_1 ||z_(n-j)||_1 over the norm row,
-    and z is solved once more when W is wider than its own B.  a_n is a
-    Polynomial exactly when some term has a Polynomial factor, lambda_j or
-    y_(n-j), as Polynomial arithmetic gives it, 0 * Polynomial included.
-    Only the lambdas take ring products, so their number does not grow
-    with N.
+    lambda'_j z_(n-j), one int per n, decoded once by :func:`_unpack`.  The
+    scaled lambdas L lambda_j are passed to _functional_ints, whose B then
+    packs every such sum exactly, so z is solved once at that width.  a_n
+    is a Polynomial exactly when some term has a Polynomial factor,
+    lambda_j or y_(n-j), as Polynomial arithmetic gives it, 0 * Polynomial
+    included.  Only the lambdas take ring products, so their number does
+    not grow with N.
     """
     d = rec.order
     if N < d - 1:
         raise ValueError(f"N must be at least d-1 = {d - 1}")
     spec = BellSequenceSpec(0, 1, rec.coefficients)
-    E, entries, B, z, norms, typed = _functional_ints(spec, N)
-    y = [_unpack(z[m], B if typed[m] else 0, E**m) for m in range(d)]
+    y = _functional_row(spec, d - 1)
     lambdas = []
     for i in range(d):
         acc = rec.initial[i]
@@ -550,21 +549,15 @@ def decompose(rec: RecurrenceSpec, N: int) -> tuple:
     L = lcm(*(v.denominator for v in lambdas))
     scaled = [normalized(L * v) if L > 1 else v for v in lambdas]
     poly = [isinstance(v, Polynomial) for v in lambdas]
-    W = B
-    if B or any(poly):
-        norm = [_norm(v) * E**j for j, v in enumerate(scaled)]
-        bound = max(sum(w * norms[n - j] for j, w in enumerate(norm[:n + 1])) for n in range(N + 1))
-        W = max(B, bound.bit_length() + 1)
-        if B and W > B:
-            z = _solve(spec, N, E, [(j, _pack(e, W)) for j, e in entries])
-    packed = [_pack(v, W) * E**j for j, v in enumerate(scaled)]
+    E, B, z, typed = _functional_ints(spec, N, scaled)
+    packed = [_pack(v, B) * E**j for j, v in enumerate(scaled)]
     values = []
     for n in range(N + 1):
         total, typed_n = 0, False
         for j, v in enumerate(packed[:n + 1]):
             total += v * z[n - j]
             typed_n = typed_n or poly[j] or typed[n - j]
-        values.append(_unpack(total, W if typed_n else 0, L * E**n))
+        values.append(_unpack(total, B if typed_n else 0, L * E**n))
     return tuple(lambdas), SequenceWindow(tuple(values))
 
 

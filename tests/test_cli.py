@@ -98,6 +98,12 @@ class TestUsageErrors:
             ("conv", "--preset", "catalan", "--r", "100000", "--n", "1"),
             ("bell", "--n", "120", "--k", "30", "--symbolic"),
             ("bell", "--n", "4", "--k", "2", "--symbolic", "--cross-check"),
+            # lists longer than CPython allows: MemoryError before any memory
+            # is touched, in parsing c, in the window, and in the sum
+            ("seq", "--a", "1", "--b", "0", "--c", "x^2000000000000000000", "--n", "2"),
+            ("seq", "--preset", "catalan", "--n", "2000000000000000000"),
+            ("decompose", "--coeffs", "1,1", "--init", "0,1", "--n", "2000000000000000000"),
+            ("bell", "--n", "3", "--k", "1", "--x", "x^2000000000000000000,1,1"),
         ],
     )
     def test_exit_code_2(self, argv):

@@ -7,7 +7,9 @@ those whose every alpha = a*j + b is 0 or 1, are checked against the kernel in
 value and type, and so are sequences of calls
 that share, grow, reuse and replace the kernel's last table, in both rings,
 the packed table of Polynomial entries with its width included, from one
-thread and from four.  The one decode of packed sums inverts the packing."""
+thread and from four.  A Polynomial window, and decompose's window, run
+the recurrence twice over the row.  The one decode of packed sums inverts
+the packing, up to 300 coefficients."""
 
 import sys
 import threading
@@ -23,6 +25,7 @@ from bellseq.conv import convolution_closed, shifted_convolution_closed
 from bellseq.ring import Polynomial, X, normalized
 from bellseq.seq import (
     BellSequenceSpec,
+    RecurrenceSpec,
     RewrittenFormUndefined,
     _pack,
     _powers,
@@ -30,6 +33,7 @@ from bellseq.seq import (
     bell_transform,
     bell_transform_rewritten,
     closed_row,
+    decompose,
     fuss_catalan_closed,
     preset,
 )
@@ -144,6 +148,12 @@ alpha_01_specs = st.one_of(
 @example(((0, 1), [2, 2, Polynomial((-1,))]), 4)
 # the same at n = 6, where the Polynomial parts cancel to a constant
 @example(((0, 1), [0, 1, X, Fraction(-1, 2) * X**2]), 6)
+# y_4 = 9 is a constant past the first Polynomial index that no composition
+# through c_3 reaches, so closed_row types it a scalar
+@example(((0, 1), [0, 3, X]), 8)
+# a constant Polynomial c_2 past a scalar c_1, at a = 0 and at a != 0
+@example(((0, 1), [3, Polynomial((2,))]), 6)
+@example(((1, -1), [Polynomial((2,)), 3]), 6)
 def test_polynomial_window_equals_kernel(ab_c, N):
     (a, b), c = ab_c
     spec = BellSequenceSpec(a, b, c)
@@ -162,6 +172,25 @@ def test_linear_recurrence_window_keeps_the_slot():
     for spec in (preset("jacobsthal")[0], BellSequenceSpec(0, 1, (3 * X, 0, Polynomial((2,)), 1))):
         bell_transform(spec, 60)
     assert seq._last_table is kept
+
+
+@pytest.mark.parametrize("run", [
+    lambda: bell_transform(preset("jacobsthal")[0], 40),
+    lambda: decompose(RecurrenceSpec((1 + X, 2 - X, 3 * X), (1, 0, 2)), 40),
+], ids=["jacobsthal", "decompose"])
+def test_two_recurrence_runs_per_polynomial_row(monkeypatch, run):
+    # one run on the norms, for B, and one on the entries packed at 2^B;
+    # decompose's own lambdas take a short window of d values first
+    lengths = []
+    solve = seq._solve
+
+    def counted(spec, N, E, terms):
+        lengths.append(N)
+        return solve(spec, N, E, terms)
+
+    monkeypatch.setattr(seq, "_solve", counted)
+    run()
+    assert lengths.count(40) == 2, lengths
 
 
 def test_catalan_window_at_large_N():
@@ -242,6 +271,33 @@ def packed_values(draw):
 @example((-7, 0), 4)  # inexact and negative
 def test_unpack_inverts_pack(packed, d):
     p, B = packed
+    value = seq._unpack(_pack(p, B), B, d)
+    expected = normalized(p * Fraction(1, d))
+    assert value == expected
+    assert type(value) is type(expected)
+    assert_canonical(value)
+
+
+@st.composite
+def long_packed_values(draw):
+    """(p, B): an int-coefficient Polynomial of 33 to 300 coefficients in
+    [-2^(B-1), 2^(B-1)), made of runs of either end of that range, of zeros
+    and of random digits, its top coefficient nonzero, and B from 1 to 80."""
+    B = draw(st.integers(1, 80))
+    half = 1 << (B - 1)
+    digits = st.one_of(st.sampled_from((-half, half - 1, 0)), st.integers(-half, half - 1))
+    runs = draw(st.lists(st.tuples(digits, st.integers(1, 60)), min_size=1, max_size=20))
+    pattern = [v for v, count in runs for _ in range(count)]
+    coefficients = (pattern * (300 // len(pattern) + 1))[:draw(st.integers(33, 300))]
+    coefficients[-1] = coefficients[-1] or -half
+    return Polynomial(coefficients), B
+
+
+@settings(max_examples=200, deadline=None)
+@given(long_packed_values(), st.integers(1, 10**6))
+def test_unpack_inverts_pack_long(packed, d):
+    p, B = packed
+    assert p.degree >= 32
     value = seq._unpack(_pack(p, B), B, d)
     expected = normalized(p * Fraction(1, d))
     assert value == expected
