@@ -16,7 +16,9 @@ and the lemma checker compute on their own.  The oracle still visits every
 composition, but sums int products: the values it reads are scaled by one
 common denominator and, when some are Polynomials, packed into ints at
 x = 2^B with the kernel's packing, so each sum ends in the kernel's one
-decode, which unpacks it and divides once.
+decode, which unpacks it and divides once.  They sit in one list indexed by
+the part itself, 0 where a part makes the product vanish, so a part costs
+one lookup and one int product.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from math import lcm
 
 from .bellpoly import bell_closed_three_term, bell_eval
 from .ring import Polynomial, RingElement, X, format_element, generalized_binomial, normalized
-from .seq import BellSequenceSpec, SequenceWindow, _norm, _pack, _unpack, bell_transform, closed_row
+from .seq import (BellSequenceSpec, SequenceWindow, _norm, _pack, _times, _unpack, bell_transform,
+                  closed_row)
 
 __all__ = [
     "ConvolutionReport",
@@ -112,6 +115,11 @@ def convolution_oracle(window: SequenceWindow, r: int, n: int, delta: int = 0) -
     a Polynomial among them packs each D*y_i into one int at x = 2^B, B
     from the norm bound [t^M] (sum_i ||D*y_i||_1 t^i)^r.  Every product and
     sum is then an int; the total is unpacked once and divided once by D^r.
+    The scaled values are shifted by delta into one list, so a part m reads
+    its own factor, D*y_(m-delta), or 0 where the product vanishes (below
+    delta, and past y_M).  A product then costs one lookup and one int
+    product per part: it stops at its first 0 factor when the list holds a
+    0, and multiplies all r factors with no test otherwise.
     The value is a Polynomial exactly when some product with every part at
     least delta has a Polynomial factor, as in Polynomial arithmetic:
 
@@ -129,23 +137,29 @@ def convolution_oracle(window: SequenceWindow, r: int, n: int, delta: int = 0) -
     low = M if r == 1 else 0
     used = window.values[low:M + 1] if M >= 0 else ()
     D = lcm(*(y.denominator for y in used))
-    scaled = [normalized(D * y) for y in used]
+    scaled = [_times(D, y) for y in used]
     B = 0
     if any(isinstance(y, Polynomial) for y in used):
         B = _norm_power(list(map(_norm, scaled)), r).bit_length() + 1
         scaled = [_pack(e, B) for e in scaled]
-    # zeros elsewhere: a product reading past y_M has a part below delta
-    values = [0] * low + scaled + [0] * (n - M)
+    # values[m] is the factor of a part m: zero below delta, and past y_M,
+    # where some other part is below delta
+    values = [0] * (delta + low) + scaled + [0] * (n - M)
     total = 0
-    for comp in compositions(n, r):
-        product = 1
-        for m in comp:
-            idx = m - delta
-            if idx < 0:
-                product = 0
-                break
-            product = product * values[idx]
-        total = total + product
+    if 0 in values:
+        for comp in compositions(n, r):
+            product = 1
+            for m in comp:
+                product *= values[m]
+                if not product:
+                    break
+            total += product
+    else:
+        for comp in compositions(n, r):
+            product = 1
+            for m in comp:
+                product *= values[m]
+            total += product
     return _unpack(total, B, D**r)
 
 

@@ -172,13 +172,22 @@ class RecurrenceSpec:
         return len(self.coefficients)
 
 
+def _times(D: int, v: RingElement) -> RingElement:
+    """D*v in canonical form, D a positive multiple of v's denominator (of
+    its coefficients', for a Polynomial): an int for a scalar, formed with no
+    Fraction product, and a Polynomial with int coefficients, formed only
+    when D > 1, so an int-coefficient Polynomial costs no product."""
+    if isinstance(v, Polynomial):
+        return D * v if D > 1 else v
+    return D // v.denominator * v.numerator
+
+
 def _scaled(c) -> tuple:
     """(D, entries): D the lcm of the denominators in c (of the coefficients,
     for Polynomial entries) and entries the pairs (j, D*c_j) with c_j != 0,
-    each an int or a Polynomial with int coefficients; scaled only when D > 1,
-    so an int-coefficient Polynomial costs no product."""
+    each from :func:`_times`."""
     D = lcm(*(cj.denominator for cj in c))
-    return D, [(j, normalized(D * cj) if D > 1 else cj) for j, cj in enumerate(c, start=1) if cj]
+    return D, [(j, _times(D, cj)) for j, cj in enumerate(c, start=1) if cj]
 
 
 _UNIT = ((1,),)  # the table to N = 0
@@ -226,7 +235,8 @@ def _table(c, N: int, B: int = 0) -> tuple:
     B = 0 extends T.  B > 0 extends P instead, reused whenever B' >= B (a
     larger B' still packs exactly) and otherwise rebuilt at max(B, 2 B'),
     so calls whose B rises rebuild it O(log B) times; a first call packs at
-    B."""
+    B.  The entries are normed or packed only when T or P must grow, so a
+    call that the slot already covers computes nothing."""
     global _last_table
     key = c, tuple(map(type, c))
     last = _last_table
@@ -236,11 +246,13 @@ def _table(c, N: int, B: int = 0) -> tuple:
         last = key, D, entries, poly, _UNIT, (0, _UNIT)
     _, D, entries, poly, table, (width, packed) = last
     if not B:
-        table = _powers([(j, _norm(e)) for j, e in entries] if poly else entries, N, table)
+        if len(table) <= N:
+            table = _powers([(j, _norm(e)) for j, e in entries] if poly else entries, N, table)
     else:
         if width < B:
             width, packed = max(B, 2 * width), _UNIT
-        packed = _powers([(j, _pack(e, width)) for j, e in entries], N, packed)
+        if len(packed) <= N:
+            packed = _powers([(j, _pack(e, width)) for j, e in entries], N, packed)
     last = _last_table = key, D, entries, poly, table, (width, packed)
     return last
 
@@ -292,9 +304,11 @@ def _unpack(value: int, B: int, denominator: int) -> RingElement:
         return Fraction(value, denominator) if remainder else quotient
     coefficients = []
     half = 1 << (B - 1)
+    mask = (1 << B) - 1
     while value:
-        digit = ((value + half) & ((1 << B) - 1)) - half
-        coefficients.append(_unpack(digit, 0, denominator))
+        digit = ((value + half) & mask) - half
+        quotient, remainder = divmod(digit, denominator)
+        coefficients.append(Fraction(digit, denominator) if remainder else quotient)
         value = (value - digit) >> B
     return Polynomial._exact(coefficients)
 
@@ -547,7 +561,7 @@ def decompose(rec: RecurrenceSpec, N: int) -> tuple:
             acc = acc - lambdas[j] * y[i - j]
         lambdas.append(normalized(acc))
     L = lcm(*(v.denominator for v in lambdas))
-    scaled = [normalized(L * v) if L > 1 else v for v in lambdas]
+    scaled = [_times(L, v) for v in lambdas]
     poly = [isinstance(v, Polynomial) for v in lambdas]
     E, B, z, typed = _functional_ints(spec, N, scaled)
     packed = [_pack(v, B) * E**j for j, v in enumerate(scaled)]

@@ -121,7 +121,7 @@ MONOMIALS = SequenceWindow([-(7**9) * X**i for i in range(8)])
 
 
 @settings(max_examples=120, deadline=None)
-@given(windows, st.integers(1, 5), st.integers(0, 7), st.integers(0, 2))
+@given(windows, st.integers(1, 5), st.integers(0, 7), st.integers(0, 3))
 # r = 1 reads y_(n - delta) alone: a scalar there gives a scalar, a Polynomial
 # elsewhere notwithstanding, and the other way round
 @example(SequenceWindow([X, 2, Fraction(1, 2)]), 1, 2, 0)
@@ -135,6 +135,10 @@ MONOMIALS = SequenceWindow([-(7**9) * X**i for i in range(8)])
 @example(MONOMIALS, 3, 7, 0)
 @example(MONOMIALS, 2, 7, 0)
 @example(MONOMIALS, 4, 7, 1)
+# delta = 0 with zero values inside: the short-circuit fold
+@example(SequenceWindow([1, 0, 2, 0, 3]), 3, 4, 0)
+# delta = 0, no zero value: the fold with no branch
+@example(SequenceWindow([1, 1 + X, 2 * X, 3]), 3, 3, 0)
 def test_oracle_matches_bruteforce(window, r, n, delta):
     n = min(n, window.last_index)
     values = window.values

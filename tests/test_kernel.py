@@ -9,7 +9,9 @@ that share, grow, reuse and replace the kernel's last table, in both rings,
 the packed table of Polynomial entries with its width included, from one
 thread and from four.  A Polynomial window, and decompose's window, run
 the recurrence twice over the row.  The one decode of packed sums inverts
-the packing, up to 300 coefficients."""
+the packing, up to 300 coefficients, and a call that the kept slot already
+covers packs nothing.  Scaling by a common denominator equals the ring
+product."""
 
 import sys
 import threading
@@ -328,6 +330,37 @@ def test_empty_row_keeps_the_slot():
     kept = seq._last_table
     assert closed_row(preset("motzkin")[0], 2, []) == []
     assert seq._last_table is kept and len(kept[4]) == 200
+
+
+def test_warm_slot_packs_nothing(monkeypatch):
+    # per-index calls whose columns and width the kept slot already holds
+    # build no entry list, so no entry is normed or packed again
+    spec = BellSequenceSpec(1, 1, (1 + X, Fraction(2, 3) * X))
+    closed_row(spec, 3, range(17))
+    kept = seq._last_table
+    calls = []
+    for name in ("_pack", "_norm"):
+        original = getattr(seq, name)
+        monkeypatch.setattr(seq, name, lambda *args, f=original: calls.append(args) or f(*args))
+    for n in range(1, 17):
+        closed_row(spec, 3, (n,))
+    assert calls == []
+    assert seq._last_table[4] is kept[4] and seq._last_table[5][1] is kept[5][1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(scalars, polys, st.just(Polynomial())), st.integers(1, 60))
+@example(Fraction(-7, 12), 1)
+@example(Polynomial((Fraction(1, 2), 3)), 1)  # D = 2 > 1
+@example(Polynomial((1, -3)), 1)  # D = 1: no product
+@example(Polynomial((Fraction(4, 2),)), 5)
+def test_times_is_the_scaled_product(v, k):
+    D = v.denominator * k
+    value = seq._times(D, v)
+    expected = normalized(D * v)
+    assert value == expected
+    assert type(value) is type(expected)
+    assert_canonical(value)
 
 
 big_scalars = st.fractions(min_value=-10**9, max_value=10**9, max_denominator=12)
