@@ -27,7 +27,7 @@ from .seq import PRESET_NAMES, BellSequenceSpec, RecurrenceSpec
 
 # largest oracle cost `conv --check` accepts, in composition parts (each
 # visit builds and multiplies out an r-tuple, one lookup and one int product
-# a part): at most half a second of work for int, small rational and
+# a part): well under a second of work for int, small rational and
 # low-degree Polynomial values, far more for wide Polynomial ones (README)
 MAX_ORACLE_PARTS = 2 * 10**6
 # largest enumeration `bell` accepts, in exponents written (p(n, k) terms of
