@@ -3,8 +3,19 @@ recurrence decomposition, and Bell-polynomial inspection.
 
 Output goes to stdout as plain text, CSV, or one JSON object per line.
 Exit codes: 0 success / all checks matched, 1 a verification check failed,
-2 usage error.  Every usage error, whether argparse or the library rejects
-the request, exits 2 with one ``error:`` line on stderr; so does a
+2 usage error.
+
+A request is parsed in one pass over argv, by the table of each command's
+long options (``_COMMANDS``).  ``--opt value`` and ``--opt=value`` both
+work; a unique prefix stands for its option and an ambiguous one is
+refused; a repeated option keeps its last value, and ``--param`` appends.
+A value is the next token unless that begins with ``--``, so a list may
+begin with a minus sign (``--c -1/2,3``).  ``--format`` and ``--quiet`` are
+accepted before or after the command, and ``-h`` / ``--help`` prints the
+usage and exits 0.
+
+Every usage error, whether the parser or the library rejects the request,
+exits 2 with one ``usage:`` line and one ``error:`` line on stderr; so does a
 ``conv --check`` request whose oracle would build more than
 MAX_ORACLE_PARTS composition parts, and a ``bell`` request whose B_{n,k}
 has more than MAX_BELL_EXPONENTS exponents over all its terms, and a
@@ -14,11 +25,11 @@ that closes stdout early ends the command quietly, with exit 0.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from math import comb
+from types import SimpleNamespace
 
 from . import conv, seq
 from .bellpoly import bell_eval, bell_eval_recurrence, bell_symbolic
@@ -39,88 +50,36 @@ def _element_list(text: str) -> list:
     try:
         return [parse_element(atom) for atom in text.split(",")]
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"in list {text!r}: {exc}") from None
+        raise ValueError(f"in list {text!r}: {exc}") from None
 
 
 def _non_negative(text: str) -> int:
     n = int(text)
     if n < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
+        raise ValueError(f"must be non-negative, got {n}")
     return n
 
 
 def _positive(text: str) -> int:
     n = int(text)
     if n < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {n}")
+        raise ValueError(f"must be positive, got {n}")
     return n
 
 
 def _param_pair(text: str) -> tuple:
     key, sep, value = text.partition("=")
     if not sep:
-        raise argparse.ArgumentTypeError(f"expected KEY=INT, got {text!r}")
+        raise ValueError(f"expected KEY=INT, got {text!r}")
     return key.strip(), int(value)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bellseq",
-        description="Exact Bell-polynomial sequence families and their convolution identities.",
-    )
-    parser.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
-    parser.add_argument("--quiet", action="store_true", help="suppress output, keep exit code")
-    # accepted before or after the subcommand; SUPPRESS keeps the subparser
-    # from clobbering a value given up front
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("plain", "csv", "json"), default=argparse.SUPPRESS)
-    common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_spec_flags(p):
-        p.add_argument("--a", type=int, default=None)
-        p.add_argument("--b", type=int, default=None)
-        p.add_argument("--c", type=_element_list, default=None, metavar="LIST")
-        p.add_argument("--preset", choices=PRESET_NAMES, default=None)
-        p.add_argument("--param", type=_param_pair, action="append", default=[], metavar="KEY=INT")
-
-    p_seq = sub.add_parser("seq", parents=[common],
-                         help="print y_0..y_N (or the offset-adjusted classical sequence)")
-    add_spec_flags(p_seq)
-    p_seq.add_argument("--n", type=_non_negative, required=True)
-    p_seq.add_argument("--apply-offset", action="store_true")
-    p_seq.set_defaults(handler=_cmd_seq)
-
-    p_conv = sub.add_parser("conv", parents=[common],
-                          help="r-fold convolution: verify closed form against the oracle")
-    add_spec_flags(p_conv)
-    p_conv.add_argument("--n", type=_non_negative, required=True)
-    p_conv.add_argument("--r", type=_positive, required=True)
-    p_conv.add_argument("--delta", type=_non_negative, default=0)
-    group = p_conv.add_mutually_exclusive_group()
-    group.add_argument("--check", action="store_true", default=True,
-                       help="compare against the composition oracle (default)")
-    group.add_argument("--closed-only", action="store_true",
-                       help="print closed-form values without the oracle")
-    p_conv.set_defaults(handler=_cmd_conv)
-
-    p_dec = sub.add_parser("decompose", parents=[common],
-                         help="express a linear recurrence via shifted y values")
-    p_dec.add_argument("--coeffs", type=_element_list, required=True, metavar="LIST")
-    p_dec.add_argument("--init", type=_element_list, required=True, metavar="LIST")
-    p_dec.add_argument("--n", type=_non_negative, required=True)
-    p_dec.set_defaults(handler=_cmd_decompose)
-
-    p_bell = sub.add_parser("bell", parents=[common],
-                          help="partial Bell polynomial, symbolic or evaluated")
-    p_bell.add_argument("--n", type=_non_negative, required=True)
-    p_bell.add_argument("--k", type=_non_negative, required=True)
-    p_bell.add_argument("--symbolic", action="store_true")
-    p_bell.add_argument("--x", type=_element_list, default=None, metavar="LIST")
-    p_bell.add_argument("--cross-check", action="store_true")
-    p_bell.set_defaults(handler=_cmd_bell)
-
-    return parser
+def _choice(*choices):
+    def check(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"invalid choice {text!r} (choose from {', '.join(choices)})")
+        return text
+    return check
 
 
 def _resolve_spec(args) -> tuple:
@@ -313,20 +272,174 @@ def _cmd_bell(args, emitter) -> int:
     return 0 if ok else 1
 
 
-# built once; the handlers look up the library functions they call at call
-# time, so a patched conv.convolution_closed or bell_eval_recurrence is seen
-_PARSER = build_parser()
+# The long options of each command: name -> (converter, default, metavar).
+# A None converter marks a flag, _REQUIRED an option that must be given, and a
+# list default an option whose values are appended to it; any other option
+# keeps its last value.
+_REQUIRED = object()
+_GLOBAL_OPTIONS = {
+    "--format": (_choice("plain", "csv", "json"), "plain", "{plain,csv,json}"),
+    "--quiet": (None, False, ""),
+}
+_SPEC_OPTIONS = {
+    "--a": (int, None, "A"),
+    "--b": (int, None, "B"),
+    "--c": (_element_list, None, "LIST"),
+    "--preset": (_choice(*PRESET_NAMES), None, "{" + ",".join(PRESET_NAMES) + "}"),
+    "--param": (_param_pair, [], "KEY=INT"),
+}
+# The handlers look up the library functions they call at call time, so a
+# patched conv.convolution_closed or bell_eval_recurrence is seen.
+_COMMANDS = {
+    "seq": (_cmd_seq, "print y_0..y_N (or the offset-adjusted classical sequence)", {
+        **_SPEC_OPTIONS, "--n": (_non_negative, _REQUIRED, "N"), "--apply-offset": (None, False, ""),
+    }),
+    "conv": (_cmd_conv, "r-fold convolution: verify closed form against the oracle", {
+        **_SPEC_OPTIONS,
+        "--n": (_non_negative, _REQUIRED, "N"),
+        "--r": (_positive, _REQUIRED, "R"),
+        "--delta": (_non_negative, 0, "DELTA"),
+        # --check is the default; --closed-only skips the oracle
+        "--check": (None, True, ""),
+        "--closed-only": (None, False, ""),
+    }),
+    "decompose": (_cmd_decompose, "express a linear recurrence via shifted y values", {
+        "--coeffs": (_element_list, _REQUIRED, "LIST"),
+        "--init": (_element_list, _REQUIRED, "LIST"),
+        "--n": (_non_negative, _REQUIRED, "N"),
+    }),
+    "bell": (_cmd_bell, "partial Bell polynomial, symbolic or evaluated", {
+        "--n": (_non_negative, _REQUIRED, "N"),
+        "--k": (_non_negative, _REQUIRED, "K"),
+        "--symbolic": (None, False, ""),
+        "--x": (_element_list, None, "LIST"),
+        "--cross-check": (None, False, ""),
+    }),
+}
+# a request may give at most one of these
+_EXCLUSIVE = {"--check", "--closed-only"}
+
+
+class _Scope:
+    """What the parser accepts before a command (command None) or after one:
+    the command's options, the global ones and -h/--help."""
+
+    def __init__(self, command, handler, description, options):
+        self.command = command
+        self.handler = handler
+        self.description = description
+        self.prog = "bellseq" if command is None else f"bellseq {command}"
+        every = {**options, **_GLOBAL_OPTIONS, "--help": (None, False, "")}
+        self.names = list(every)
+        # each name and each prefix of one with at least one letter ->
+        # (name, dest, converter, appends); an ambiguous prefix -> None
+        entries = {name: (name, name[2:].replace("-", "_"), convert, type(default) is list)
+                   for name, (convert, default, _) in every.items()}
+        self.lookup = {}
+        for name, entry in entries.items():
+            for end in range(3, len(name)):
+                self.lookup[name[:end]] = None if name[:end] in self.lookup else entry
+        self.lookup.update(entries)
+        self.lookup["-h"] = entries["--help"]
+        self.defaults = {entries[name][1]: default for name, (_, default, _) in options.items()
+                         if default is not _REQUIRED}
+        self.required = [name for name, option in options.items() if option[1] is _REQUIRED]
+        words = ["usage:", self.prog]
+        for name, (_, default, metavar) in every.items():
+            word = f"{name} {metavar}" if metavar else name
+            words.append(word if default is _REQUIRED else f"[{word}]")
+        if command is None:
+            words.append("{" + ",".join(_COMMANDS) + "} ...")
+        self.usage = " ".join(words)
+
+    def help(self) -> str:
+        """The usage line, the description and, before a command, the commands."""
+        lines = [self.usage, "", self.description]
+        if self.command is None:
+            lines += ["", "commands:"]
+            lines += [f"  {name:11}{entry[1]}" for name, entry in _COMMANDS.items()]
+            lines += ["", "--format and --quiet are accepted before or after the command."]
+        return "\n".join(lines)
+
+
+_TOP = _Scope(None, None, "Exact Bell-polynomial sequence families and their convolution "
+              "identities.", _GLOBAL_OPTIONS)
+_SCOPES = {name: _Scope(name, *entry) for name, entry in _COMMANDS.items()}
+
+
+def _parse(argv, args) -> bool:
+    """Set the fields of args from argv in one pass; False when help was asked
+    for, and printed.  The first token that is no option names the command.
+    An option's value is the rest of its token after "=", or else the next
+    token unless that begins with "--", so a value may begin with "-"."""
+    fields = args.__dict__
+    fields.update(_TOP.defaults)
+    scope = _TOP
+    given = set()
+    tokens = iter(argv)
+    for token in tokens:
+        if token[:2] != "--" and token != "-h":
+            if scope is not _TOP:
+                raise ValueError(f"unrecognized argument {token!r}")
+            scope = _SCOPES.get(token)
+            if scope is None:
+                raise ValueError(f"invalid command {token!r} (choose from {', '.join(_COMMANDS)})")
+            fields["command"] = token
+            fields.update(scope.defaults)
+            continue
+        name, eq, value = token.partition("=")
+        entry = scope.lookup.get(name)
+        if entry is None:
+            if name in scope.lookup:
+                matches = ", ".join(option for option in scope.names if option.startswith(name))
+                raise ValueError(f"ambiguous option {name} could match {matches}")
+            raise ValueError(f"unrecognized option {name!r}")
+        name, dest, convert, appends = entry
+        given.add(name)
+        if convert is None:
+            if eq:
+                raise ValueError(f"argument {name}: ignored explicit argument {value!r}")
+            if name == "--help":
+                print(scope.help())
+                return False
+            fields[dest] = True
+            continue
+        if not eq:
+            # past the last token, the value is missing as before an option
+            value = next(tokens, "--")
+            if value[:2] == "--":
+                raise ValueError(f"argument {name}: expected one argument")
+        try:
+            value = convert(value)
+        except ValueError as exc:
+            raise ValueError(f"argument {name}: {exc}") from None
+        fields[dest] = fields[dest] + [value] if appends else value
+    if scope is _TOP:
+        raise ValueError(f"a command is required, one of {', '.join(_COMMANDS)}")
+    missing = [name for name in scope.required if name not in given]
+    if missing:
+        raise ValueError(f"the following options are required: {', '.join(missing)}")
+    if _EXCLUSIVE <= given:
+        raise ValueError(f"the options {' and '.join(sorted(_EXCLUSIVE))} exclude each other")
+    return True
 
 
 def main(argv=None) -> int:
+    args = SimpleNamespace(command=None)
     try:
         # inside the try: parsing a list of ring elements allocates too
-        args = _PARSER.parse_args(argv)
-        return args.handler(args, _Emitter(args.format, args.quiet, sys.stdout))
+        if not _parse(sys.argv[1:] if argv is None else argv, args):
+            return 0
+        return _SCOPES[args.command].handler(args, _Emitter(args.format, args.quiet, sys.stdout))
     except ValueError as exc:
-        _PARSER.error(str(exc))
-    except MemoryError:
-        _PARSER.error("the request needs more memory than can be allocated")
+        message = str(exc)
+    except (MemoryError, OverflowError):
+        # OverflowError: a list longer than sys.maxsize, which CPython refuses
+        # to build as it refuses one that does not fit in memory
+        message = "the request needs more memory than can be allocated"
+    scope = _SCOPES.get(args.command, _TOP)
+    print(f"{scope.usage}\n{scope.prog}: error: {message}", file=sys.stderr)
+    return 2
 
 
 def run():

@@ -249,7 +249,8 @@ def format_element(value: RingElement) -> str:
     return str(normalized(value))
 
 
-_TERM_RE = re.compile(r"([+-]?)(\d+(?:/\d+)?)?\*?(x(?:\^(\d+))?)?")
+# one term: sign, numerator, denominator, the x power and its exponent
+_TERM_RE = re.compile(r"([+-]?)(?:(\d+)(?:/(\d+))?)?\*?(x(?:\^(\d+))?)?")
 
 
 def parse_element(text: str) -> RingElement:
@@ -259,32 +260,40 @@ def parse_element(text: str) -> RingElement:
     of these, and one level of surrounding parentheses, e.g. ``(1+2x)``.
     Returns an int or a Fraction unless ``x`` occurs, in which case a
     Polynomial.
+
+    >>> parse_element("-3/2"), parse_element("(1-x^2)")
+    (Fraction(-3, 2), Polynomial((1, 0, -1)))
     """
     s = text.strip().replace(" ", "")
     if s.startswith("(") and s.endswith(")"):
         s = s[1:-1]
     if not s:
         raise ValueError(f"empty ring element in {text!r}")
-    terms = re.findall(r"[+-]?[^+-]+", s)
-    if "".join(terms) != s:
-        raise ValueError(f"malformed ring element {text!r}")
+    # one walk over the terms: each ends at the next sign or at the end, and
+    # the regex match after a term begins at that sign
     coeffs: dict = {}
     saw_x = False
-    for term in terms:
-        m = _TERM_RE.fullmatch(term)
-        if not m or (m.group(2) is None and m.group(3) is None):
-            raise ValueError(f"malformed term {term!r} in {text!r}")
-        sign = -1 if m.group(1) == "-" else 1
-        try:
-            coeff = Fraction(m.group(2)) if m.group(2) else 1
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {text!r}") from None
-        if m.group(3):
+    pos, size = 0, len(s)
+    while pos < size:
+        m = _TERM_RE.match(s, pos)
+        sign, num, den, x, exponent = m.groups()
+        pos = m.end()
+        if num is None and x is None or pos < size and s[pos] not in "+-":
+            raise ValueError(f"malformed term {s[m.start():pos + 1]!r} in {text!r}")
+        coeff = int(num) if num else 1
+        if sign == "-":
+            coeff = -coeff
+        if den:
+            den = int(den)
+            if not den:
+                raise ValueError(f"zero denominator in {text!r}")
+            coeff = Fraction(coeff, den)
+        if x:
             saw_x = True
-            exponent = int(m.group(4)) if m.group(4) else 1
+            exponent = int(exponent) if exponent else 1
         else:
             exponent = 0
-        coeffs[exponent] = coeffs.get(exponent, 0) + sign * coeff
+        coeffs[exponent] = coeffs[exponent] + coeff if exponent in coeffs else coeff
     if not saw_x:
         return normalized(coeffs.get(0, 0))
     out = [0] * (max(coeffs) + 1)

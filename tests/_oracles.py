@@ -9,14 +9,32 @@ power-series kernel, and that kernel's table of truncated powers built in
 reconstruction summed in ring arithmetic over a given window.  Only the
 exact-arithmetic substrate (Fraction, Polynomial, generalized_binomial) and
 ``bell_eval`` are shared with the package.
+
+The CLI's argparse parser (``build_parser``) and the split-and-check
+``parse_element_by_split`` are the implementations the one-pass parsers in
+``cli`` and ``ring`` replaced, kept as the references they are tested against;
+the parser shares the CLI's converters and handlers.
 """
 
+import argparse
 import itertools
+import re
 from fractions import Fraction
 from math import factorial, lcm
 
 from bellseq.bellpoly import bell_eval
+from bellseq.cli import (
+    _cmd_bell,
+    _cmd_conv,
+    _cmd_decompose,
+    _cmd_seq,
+    _element_list,
+    _non_negative,
+    _param_pair,
+    _positive,
+)
 from bellseq.ring import Polynomial, X, generalized_binomial, normalized
+from bellseq.seq import PRESET_NAMES
 
 
 def falling_factorial_binomial(t, k):
@@ -272,3 +290,103 @@ def closed_form_by_table(a, b, r, n, table):
         if binom:
             total = total + binom * (L // k) * D ** (n - k) * power
     return normalized(total * Fraction(r, L * D**n))
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="bellseq",
+        description="Exact Bell-polynomial sequence families and their convolution identities.",
+    )
+    parser.add_argument("--format", choices=("plain", "csv", "json"), default="plain")
+    parser.add_argument("--quiet", action="store_true", help="suppress output, keep exit code")
+    # accepted before or after the subcommand; SUPPRESS keeps the subparser
+    # from clobbering a value given up front
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=("plain", "csv", "json"), default=argparse.SUPPRESS)
+    common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_spec_flags(p):
+        p.add_argument("--a", type=int, default=None)
+        p.add_argument("--b", type=int, default=None)
+        p.add_argument("--c", type=_element_list, default=None, metavar="LIST")
+        p.add_argument("--preset", choices=PRESET_NAMES, default=None)
+        p.add_argument("--param", type=_param_pair, action="append", default=[], metavar="KEY=INT")
+
+    p_seq = sub.add_parser("seq", parents=[common],
+                         help="print y_0..y_N (or the offset-adjusted classical sequence)")
+    add_spec_flags(p_seq)
+    p_seq.add_argument("--n", type=_non_negative, required=True)
+    p_seq.add_argument("--apply-offset", action="store_true")
+    p_seq.set_defaults(handler=_cmd_seq)
+
+    p_conv = sub.add_parser("conv", parents=[common],
+                          help="r-fold convolution: verify closed form against the oracle")
+    add_spec_flags(p_conv)
+    p_conv.add_argument("--n", type=_non_negative, required=True)
+    p_conv.add_argument("--r", type=_positive, required=True)
+    p_conv.add_argument("--delta", type=_non_negative, default=0)
+    group = p_conv.add_mutually_exclusive_group()
+    group.add_argument("--check", action="store_true", default=True,
+                       help="compare against the composition oracle (default)")
+    group.add_argument("--closed-only", action="store_true",
+                       help="print closed-form values without the oracle")
+    p_conv.set_defaults(handler=_cmd_conv)
+
+    p_dec = sub.add_parser("decompose", parents=[common],
+                         help="express a linear recurrence via shifted y values")
+    p_dec.add_argument("--coeffs", type=_element_list, required=True, metavar="LIST")
+    p_dec.add_argument("--init", type=_element_list, required=True, metavar="LIST")
+    p_dec.add_argument("--n", type=_non_negative, required=True)
+    p_dec.set_defaults(handler=_cmd_decompose)
+
+    p_bell = sub.add_parser("bell", parents=[common],
+                          help="partial Bell polynomial, symbolic or evaluated")
+    p_bell.add_argument("--n", type=_non_negative, required=True)
+    p_bell.add_argument("--k", type=_non_negative, required=True)
+    p_bell.add_argument("--symbolic", action="store_true")
+    p_bell.add_argument("--x", type=_element_list, default=None, metavar="LIST")
+    p_bell.add_argument("--cross-check", action="store_true")
+    p_bell.set_defaults(handler=_cmd_bell)
+
+    return parser
+
+
+_TERM_RE = re.compile(r"([+-]?)(\d+(?:/\d+)?)?\*?(x(?:\^(\d+))?)?")
+
+
+def parse_element_by_split(text):
+    """ring.parse_element's text form, read by splitting the text into terms
+    with ``re.findall``, checking that they join back to it, and matching
+    each term whole."""
+    s = text.strip().replace(" ", "")
+    if s.startswith("(") and s.endswith(")"):
+        s = s[1:-1]
+    if not s:
+        raise ValueError(f"empty ring element in {text!r}")
+    terms = re.findall(r"[+-]?[^+-]+", s)
+    if "".join(terms) != s:
+        raise ValueError(f"malformed ring element {text!r}")
+    coeffs: dict = {}
+    saw_x = False
+    for term in terms:
+        m = _TERM_RE.fullmatch(term)
+        if not m or (m.group(2) is None and m.group(3) is None):
+            raise ValueError(f"malformed term {term!r} in {text!r}")
+        sign = -1 if m.group(1) == "-" else 1
+        try:
+            coeff = Fraction(m.group(2)) if m.group(2) else 1
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
+        if m.group(3):
+            saw_x = True
+            exponent = int(m.group(4)) if m.group(4) else 1
+        else:
+            exponent = 0
+        coeffs[exponent] = coeffs.get(exponent, 0) + sign * coeff
+    if not saw_x:
+        return normalized(coeffs.get(0, 0))
+    out = [0] * (max(coeffs) + 1)
+    for e, c in coeffs.items():
+        out[e] = c
+    return Polynomial(out)

@@ -5,6 +5,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,7 +15,14 @@ from bellseq.conv import shifted_convolution_closed
 from bellseq.ring import Polynomial, format_element, parse_element
 from bellseq.seq import bell_transform, preset
 
-from _oracles import fibonacci_list, iterative_partition_count, jacobsthal_polys, run_recurrence
+from _oracles import (
+    build_parser,
+    fibonacci_list,
+    iterative_partition_count,
+    jacobsthal_polys,
+    parse_element_by_split,
+    run_recurrence,
+)
 
 
 def run_cli(capsys, *argv):
@@ -63,6 +71,23 @@ class TestSeqCommand:
         assert code == 0
         assert out == ""
 
+    def test_unique_prefix_stands_for_its_option(self, capsys):
+        assert run_cli(capsys, "seq", "--pre", "catalan", "--n", "3") == run_cli(
+            capsys, "seq", "--preset", "catalan", "--n", "3"
+        )
+
+    @pytest.mark.parametrize("c, expected", [
+        ("-1/2,3", ["1", "-1/2", "13/4", "-37/8"]),
+        ("-1,2", ["1", "-1", "3", "-7"]),
+    ])
+    def test_list_value_may_begin_with_minus(self, capsys, c, expected):
+        # the value after a space is the next token unless it begins with
+        # "--", so it reads as the "=" form does
+        argv = ["seq", "--a", "1", "--b", "0", "--n", "3"]
+        spaced = run_cli(capsys, *argv, "--c", c)
+        joined = run_cli(capsys, *argv, f"--c={c}")
+        assert spaced == joined == (0, "\n".join(expected) + "\n")
+
 
     def test_deep_jacobsthal(self):
         # y_n = J_(n+1), each a Polynomial, the constant y_0 and y_1 included
@@ -104,13 +129,45 @@ class TestUsageErrors:
             ("seq", "--preset", "catalan", "--n", "2000000000000000000"),
             ("decompose", "--coeffs", "1,1", "--init", "0,1", "--n", "2000000000000000000"),
             ("bell", "--n", "3", "--k", "1", "--x", "x^2000000000000000000,1,1"),
+            # lists and exponents past sys.maxsize, which CPython refuses with
+            # OverflowError
+            ("seq", "--a", "1", "--b", "0", "--c", "x^99999999999999999999", "--n", "2"),
+            ("seq", "--preset", "catalan", "--n", "99999999999999999999"),
+            ("bell", "--n", "99999999999999999999", "--k", "1", "--symbolic"),
+            # the parser's own refusals
+            (),
+            ("--quiet",),
+            ("frob", "--n", "3"),
+            ("seq", "--preset", "catalan", "--n", "3", "--zz", "1"),
+            ("seq", "--preset", "catalan", "--n"),
+            ("seq", "--preset", "catalan", "--n", "3", "--quiet=1"),
+            ("--format=xml", "seq", "--preset", "catalan", "--n", "3"),
+            # a request that --param b=2 would run
+            ("seq", "--preset", "fuss_catalan", "--p", "b=2", "--n", "3"),
+            ("conv", "--preset", "catalan", "--r", "2", "--n", "3", "--check", "--closed-only"),
+            ("conv", "--preset", "catalan", "--r", "2", "--n", "3", "--closed-only", "--check"),
+            ("seq", "--preset", "catalan", "--n", "3", "conv"),
         ],
     )
     def test_exit_code_2(self, argv):
         result = run_subprocess(*argv)
         assert result.returncode == 2, result.stderr
         assert "Traceback" not in result.stderr
-        assert sum("error:" in line for line in result.stderr.splitlines()) == 1
+        lines = result.stderr.splitlines()
+        assert sum("error:" in line for line in lines) == 1
+        assert sum(line.startswith("usage:") for line in lines) == 1
+
+    @pytest.mark.parametrize("argv, shows", [
+        (("-h",), ["seq", "conv", "decompose", "bell", "--format", "--quiet"]),
+        (("seq", "--help"), ["--preset", "--param", "--n N", "--apply-offset", "--format"]),
+        (("conv", "--preset", "catalan", "--he"), ["--r R", "--delta DELTA", "--closed-only"]),
+    ])
+    def test_help_exits_0(self, argv, shows):
+        result = run_subprocess(*argv)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        assert result.stdout.startswith("usage: bellseq")
+        assert all(word in result.stdout for word in shows)
 
 
 digits = st.integers(0, 9).map(str)
@@ -189,6 +246,134 @@ class TestCoefficientFuzz:
     @given(st.integers(3, 4).flatmap(list_atoms))
     def test_bell_x_exits_0_or_2(self, x):
         assert_exits_0_or_2(["bell", "--n", "4", "--k", "2", f"--x={x}", "--cross-check"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(c_atoms, well_formed, well_formed.map("({})".format)))
+def test_parse_element_matches_split_reference(atom):
+    def parsed(parse):
+        try:
+            return repr(parse(atom))
+        except ValueError:
+            return "refused"
+
+    # repr shows the types as well: int or Fraction, and each coefficient's
+    assert parsed(parse_element) == parsed(parse_element_by_split)
+
+
+REFERENCE_PARSER = build_parser()
+# values drawn for each converter: valid ones first, then negative, garbled
+# and empty ones
+VALUES = {
+    int: ["3", "0", "-2", "x", "1.5", ""],
+    cli._non_negative: ["4", "0", "-1", "x"],
+    cli._positive: ["2", "0", "-3", "1/2"],
+    cli._element_list: ["1,1", "1/2,-3", "x,(1+2x)", "-1", "-1/2,3", "-x", "1,,2", "3/0", ""],
+    cli._param_pair: ["b=2", "b=0", "-b=2", "b", "b=x"],
+}
+UNKNOWN_NAMES = ["--zz", "--nn", "--cc", "--presets", "--n-", "-n"]
+
+
+def reference_fields(argv):
+    """The fields the argparse reference parses from argv, None if it refuses."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            fields = vars(REFERENCE_PARSER.parse_args(argv))
+        except SystemExit:
+            return None
+    del fields["handler"]
+    return fields
+
+
+def one_pass_fields(argv):
+    args = SimpleNamespace(command=None)
+    try:
+        assert cli._parse(argv, args)
+    except ValueError:
+        return None
+    return vars(args)
+
+
+class TestParserAgainstArgparse:
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_same_refusals_and_fields(self, data):
+        """Draw argv lists from each command's option names, exact, as
+        prefixes (unique or ambiguous) or unknown, with valid, negative,
+        garbled or missing values in the "=" and the space form: the one-pass
+        parser refuses what the argparse reference refuses, and parses the
+        same fields from the rest.  The one exception is a value after a
+        space that begins with one "-", which argparse takes for an option:
+        the one-pass parser reads it as the "=" form, so it is compared with
+        the reference on that form."""
+        command = data.draw(st.sampled_from(list(cli._COMMANDS)))
+        options = {**cli._COMMANDS[command][2], **cli._GLOBAL_OPTIONS}
+        # how often, in tenths, an option is garbled: left out, given an
+        # unknown name or its shortest prefix (ambiguous for --p), or given
+        # any drawn value; a clean request parses unless it gives both
+        # --check and --closed-only
+        noise = data.draw(st.sampled_from([0, 1, 3]))
+        rewritten = False
+
+        def item(name, values):
+            """The tokens of one option, and those the reference reads."""
+            nonlocal rewritten
+            value = values[0]
+            garble = data.draw(st.integers(0, 3)) if data.draw(st.integers(0, 9)) < noise else None
+            if garble == 0:
+                return [], []
+            if garble == 1:
+                name = data.draw(st.sampled_from(UNKNOWN_NAMES))
+            elif garble == 2:
+                name = name[:3]
+            elif garble == 3:
+                value = data.draw(st.sampled_from(values))
+            elif len(name) > 4 and data.draw(st.booleans()):
+                # a prefix of four or more characters is unique
+                name = name[:data.draw(st.integers(4, len(name)))]
+            if value is None:
+                return [name], [name]
+            if data.draw(st.booleans()):
+                return [f"{name}={value}"], [f"{name}={value}"]
+            if value[:1] == "-" and value[:2] != "--":
+                rewritten = True
+                return [name, value], [f"{name}={value}"]
+            return [name, value], [name, value]
+
+        def values(name):
+            """The values drawn for an option, a valid one first."""
+            convert, _, metavar = options[name]
+            if convert is None:
+                return [None, "1"]
+            if metavar.startswith("{"):
+                return metavar.strip("{}").split(",") + ["xml", "-x", ""]
+            return VALUES[convert] + [None, "--n"]
+
+        before = [item(name, values(name))
+                  for name in data.draw(st.lists(st.sampled_from(list(cli._GLOBAL_OPTIONS)),
+                                                 max_size=2))]
+        required = [item(name, values(name)) for name, option in options.items()
+                    if option[1] is cli._REQUIRED]
+        # each option given no, one or two more times, so that pairs such as
+        # --check --closed-only and repeats such as --param b=2 --param b=0
+        # are drawn often
+        others = [item(name, values(name)) for name in options
+                  for _ in range(data.draw(st.sampled_from([0, 0, 0, 1, 1, 2])))]
+        after = data.draw(st.permutations(required + others))
+        # no command, an unknown one, or a second command token at the end
+        kind = data.draw(st.integers(0, 19)) if noise else 2
+        token = "frob" if kind == 1 else command
+        commands = [] if kind == 0 else [([token], [token])]
+        if kind == 19:
+            after.append(([command], [command]))
+        argv, reference_argv = [], []
+        for ours, theirs in before + commands + after:
+            argv += ours
+            reference_argv += theirs
+        fields = one_pass_fields(argv)
+        assert fields == reference_fields(reference_argv)
+        if rewritten:
+            assert fields == one_pass_fields(reference_argv)
 
 
 class TestBellSizeFuzz:
