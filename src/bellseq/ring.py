@@ -249,8 +249,8 @@ def format_element(value: RingElement) -> str:
     return str(normalized(value))
 
 
-# one term: sign, numerator, denominator, the x power and its exponent
-_TERM_RE = re.compile(r"([+-]?)(?:(\d+)(?:/(\d+))?)?\*?(x(?:\^(\d+))?)?")
+# one term: sign, numerator, denominator, x power, exponent; "*" only before x
+_TERM_RE = re.compile(r"([+-]?)(?:(\d+)(?:/(\d+))?(?:\*(?=x))?)?(x(?:\^(\d+))?)?")
 
 
 def parse_element(text: str) -> RingElement:

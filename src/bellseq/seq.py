@@ -33,7 +33,7 @@ is no power to extend, y_n = sum_j c_j [y^(a*j+b)]_(n-j) is a linear
 recurrence (for a = 0, b = 1 the recurrence whose coefficients are c), and
 it runs over the entries' norms for B, then over ints packed at x = 2^B.
 So do the rewritten form and the oracle's window.  :func:`decompose` takes
-y_0..y_(d-1) from a window of d values, for its lambdas, and sums
+its lambdas from the recurrence itself, A(t) (1 - C(t)) mod t^d, and sums
 sum_j lambda_j y_(n-j) in the same ints, the lambdas scaled to ints, so
 its ring products do not grow with N.
 :func:`closed_row` computes every convolution closed form and the other
@@ -437,12 +437,6 @@ def _functional_ints(spec: BellSequenceSpec, N: int, lambdas=()) -> tuple:
     return E, B, z, typed
 
 
-def _functional_row(spec: BellSequenceSpec, N: int) -> list:
-    """y_0..y_N from :func:`_functional_ints`, each value decoded once."""
-    E, B, z, typed = _functional_ints(spec, N)
-    return [_unpack(z_m, B if t else 0, E**m) for m, (z_m, t) in enumerate(zip(z, typed))]
-
-
 def bell_transform(spec: BellSequenceSpec, N: int) -> SequenceWindow:
     """y_0..y_N of the family defined by spec, exactly: from the functional
     equation for rational c and wherever every alpha = a*j + b of a nonzero
@@ -458,7 +452,8 @@ def bell_transform(spec: BellSequenceSpec, N: int) -> SequenceWindow:
         raise ValueError("N must be non-negative")
     if spec.ring == "rational" or {
             spec.a * j + spec.b for j, cj in enumerate(spec.c[:N], start=1) if cj} <= {0, 1}:
-        values = _functional_row(spec, N)
+        E, B, z, typed = _functional_ints(spec, N)
+        values = [_unpack(z_m, B if t else 0, E**m) for m, (z_m, t) in enumerate(zip(z, typed))]
     else:
         values = closed_row(spec, 1, range(N + 1))
     return SequenceWindow(tuple(values), spec)
@@ -533,10 +528,13 @@ def fuss_catalan_closed(b: int, n: int) -> RingElement:
 def decompose(rec: RecurrenceSpec, N: int) -> tuple:
     """Express the recurrence sequence as sum_j lambda_j * y_{n-j}.
 
-    y is the a=0, b=1 transform of the recurrence coefficients; the lambdas
-    solve the unit-lower-triangular system a_i = sum_j lambda_j y_{i-j} for
-    i < d, in ring arithmetic over y_0..y_(d-1) from :func:`_functional_row`
-    at d - 1.  Returns (lambdas, reconstruction window over 0..N).
+    y is the a=0, b=1 transform of the recurrence coefficients, so
+    Y(t) = 1/(1 - C(t)) and the lambdas are the coefficients of
+    A(t) (1 - C(t)) mod t^d: lambda_i = a_i - sum_{j=1..i} c_j a_(i-j) in
+    ring arithmetic, a zero Polynomial c_j taken as the int 0, as y takes
+    it, so they equal the triangular solve over y, types included (c =
+    (Polynomial(), -2), a = (2, 0) give (2, 0)).  Returns (lambdas,
+    reconstruction window over 0..N).
 
     The window is summed in ints: with z_m = E^m y_m from
     :func:`_functional_ints`, L the lcm of the denominators of the lambdas
@@ -552,18 +550,17 @@ def decompose(rec: RecurrenceSpec, N: int) -> tuple:
     d = rec.order
     if N < d - 1:
         raise ValueError(f"N must be at least d-1 = {d - 1}")
-    spec = BellSequenceSpec(0, 1, rec.coefficients)
-    y = _functional_row(spec, d - 1)
+    c, a = rec.coefficients, rec.initial
     lambdas = []
     for i in range(d):
-        acc = rec.initial[i]
-        for j in range(i):
-            acc = acc - lambdas[j] * y[i - j]
+        acc = a[i]
+        for j in range(1, i + 1):
+            acc = acc - (c[j - 1] or 0) * a[i - j]
         lambdas.append(normalized(acc))
     L = lcm(*(v.denominator for v in lambdas))
     scaled = [_times(L, v) for v in lambdas]
     poly = [isinstance(v, Polynomial) for v in lambdas]
-    E, B, z, typed = _functional_ints(spec, N, scaled)
+    E, B, z, typed = _functional_ints(BellSequenceSpec(0, 1, c), N, scaled)
     packed = [_pack(v, B) * E**j for j, v in enumerate(scaled)]
     values = []
     for n in range(N + 1):

@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_TERM_RE = re.compile(r"([+-]?)(\d+(?:/\d+)?)?\*?(x(?:\^(\d+))?)?")
+_TERM_RE = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)(?:\*(?=x))?)?(x(?:\^(\d+))?)?")
 
 
 def parse_element_by_split(text):

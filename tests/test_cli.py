@@ -115,6 +115,10 @@ class TestUsageErrors:
             ("bell", "--n", "4", "--k", "2", "--symbolic", "--x", "1,1,1"),
             ("seq", "--a", "1", "--b", "0", "--c", "1/0", "--n", "3"),
             ("seq", "--a", "1", "--b", "0", "--c", "1,,2", "--n", "3"),
+            # a "*" stands only between a coefficient and x
+            ("seq", "--a", "1", "--b", "0", "--c", "3*", "--n", "2"),
+            ("seq", "--a", "1", "--b", "0", "--c", "*x", "--n", "2"),
+            ("seq", "--a", "1", "--b", "0", "--c", "2*+1", "--n", "2"),
             ("decompose", "--coeffs", "1,1", "--init", "1/0,1", "--n", "3"),
             ("bell", "--n", "4", "--k", "2", "--x", "1,,2"),
             ("decompose", "--coeffs", "1,1,1", "--init", "0,1,2", "--n", "1"),
@@ -172,10 +176,10 @@ class TestUsageErrors:
 
 digits = st.integers(0, 9).map(str)
 numbers = st.integers(0, 99).map(str)
-# a run of digits, "/", "x", "^" with one digit, signs and parentheses; the
-# empty run is the empty atom
+# a run of digits, "/", "*", "x", "^" with one digit, signs and parentheses;
+# the empty run is the empty atom
 garbled_atoms = st.lists(
-    st.one_of(digits, st.sampled_from(list("/x+-()")), digits.map("^".__add__)), max_size=6
+    st.one_of(digits, st.sampled_from(list("/*x+-()")), digits.map("^".__add__)), max_size=6
 ).map("".join)
 # sums of signed p/q x^e terms, each part optional, so that near-misses such
 # as "3/0x" are drawn often, which a run of loose characters seldom spells

@@ -176,13 +176,15 @@ def test_linear_recurrence_window_keeps_the_slot():
     assert seq._last_table is kept
 
 
-@pytest.mark.parametrize("run", [
-    lambda: bell_transform(preset("jacobsthal")[0], 40),
-    lambda: decompose(RecurrenceSpec((1 + X, 2 - X, 3 * X), (1, 0, 2)), 40),
-], ids=["jacobsthal", "decompose"])
-def test_two_recurrence_runs_per_polynomial_row(monkeypatch, run):
-    # one run on the norms, for B, and one on the entries packed at 2^B;
-    # decompose's own lambdas take a short window of d values first
+@pytest.mark.parametrize("run, expected", [
+    (lambda: bell_transform(preset("jacobsthal")[0], 40), [40, 40]),
+    (lambda: decompose(RecurrenceSpec((1 + X, 2 - X, 3 * X), (1, 0, 2)), 40), [40, 40]),
+    (lambda: decompose(RecurrenceSpec((Fraction(1, 2), -1, 3), (1, 0, 2)), 40), [40]),
+], ids=["jacobsthal", "decompose", "decompose_rational"])
+def test_two_recurrence_runs_per_polynomial_row(monkeypatch, run, expected):
+    # one run on the norms, for B, and one on the entries packed at 2^B, and
+    # one run alone for a rational row; decompose takes its lambdas from the
+    # recurrence's own coefficients, with no window of its own
     lengths = []
     solve = seq._solve
 
@@ -192,7 +194,7 @@ def test_two_recurrence_runs_per_polynomial_row(monkeypatch, run):
 
     monkeypatch.setattr(seq, "_solve", counted)
     run()
-    assert lengths.count(40) == 2, lengths
+    assert lengths == expected
 
 
 def test_catalan_window_at_large_N():

@@ -315,6 +315,9 @@ class TestDecompose:
     @example(((Polynomial((1,)), 2 * X), (0, 1)), 6)
     # zero entries and Fractions in both rings
     @example(((Fraction(1, 2), 0, X), (0, Polynomial((Fraction(-2, 3), 1)), 0)), 9)
+    # a zero Polynomial c_1 counts as the int 0 in the lambdas: (2, 0), not
+    # (2, Polynomial())
+    @example(((Polynomial(), -2), (2, 0)), 3)
     def test_equals_ring_reference(self, rec_lists, extra):
         coeffs, init = rec_lists
         N = len(coeffs) - 1 + extra
