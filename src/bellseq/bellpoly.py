@@ -13,10 +13,9 @@ plus closed forms for the two argument patterns (c1, 2c2, 0, ...) and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
-from .ring import RingElement, generalized_binomial, normalized
+from .ring import Record, RingElement, generalized_binomial, normalized
 
 __all__ = [
     "SymbolicBellPolynomial",
@@ -77,23 +76,30 @@ def enumerate_pi(n: int, k: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class SymbolicBellPolynomial:
+class SymbolicBellPolynomial(Record):
     """B_{n,k} as (integer coefficient, exponent tuple) terms."""
 
-    n: int
-    k: int
-    terms: tuple
+    __slots__ = ("n", "k", "terms")
+
+    def __init__(self, n: int, k: int, terms: tuple):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "terms", terms)
 
     def evaluate(self, xs) -> RingElement:
-        """Substitute xs[i-1] for x_i; extra entries beyond n-k+1 are ignored."""
+        """Substitute xs[i-1] for x_i; extra entries beyond n-k+1 are ignored.
+        Each power xs[i-1]^a that a term uses is computed once per call."""
         _check_args(self.n, self.k, xs)
+        powers = {}  # (i, a) -> xs[i] ** a
         total = 0
         for coeff, exponents in self.terms:
             monomial = coeff
             for i, a in enumerate(exponents):
                 if a:
-                    monomial = monomial * xs[i] ** a
+                    power = powers.get((i, a))
+                    if power is None:
+                        power = powers[i, a] = xs[i] ** a
+                    monomial = monomial * power
             total = total + monomial
         return normalized(total)
 
@@ -111,12 +117,20 @@ class SymbolicBellPolynomial:
         return " + ".join(rendered)
 
 
+class _Factorials(dict):
+    """m -> m!, each computed on first use."""
+
+    def __missing__(self, m):
+        self[m] = value = factorial(m)
+        return value
+
+
 def bell_symbolic(n: int, k: int) -> SymbolicBellPolynomial:
-    """Symbolic B_{n,k}; term order follows :func:`enumerate_pi`."""
+    """Symbolic B_{n,k}; term order follows :func:`enumerate_pi`.  Only the
+    factorials the coefficients use are computed, each once: n! and those of
+    the part sizes and multiplicities that occur."""
     _check_nk(n, k)
-    fact = [1]  # fact[i] = i! for 0 <= i <= n; every alpha_i and i is at most n
-    for i in range(1, n + 1):
-        fact.append(fact[-1] * i)
+    fact = _Factorials()
     terms = []
     for exponents in enumerate_pi(n, k):
         denom = 1

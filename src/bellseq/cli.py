@@ -17,21 +17,25 @@ usage and exits 0.
 Every usage error, whether the parser or the library rejects the request,
 exits 2 with one ``usage:`` line and one ``error:`` line on stderr; so does a
 ``conv --check`` request whose oracle would build more than
-MAX_ORACLE_PARTS composition parts, and a ``bell`` request whose B_{n,k}
-has more than MAX_BELL_EXPONENTS exponents over all its terms, and a
-request whose memory cannot be allocated.  A reader
-that closes stdout early ends the command quietly, with exit 0.
+MAX_ORACLE_PARTS composition parts, a ``conv`` or ``seq`` request whose
+closed form would build a table of more than MAX_TABLE_CELLS cells, a
+``bell`` request whose B_{n,k} has more than MAX_BELL_EXPONENTS exponents
+over all its terms, or more factorials 0!..n!, and a request whose memory
+cannot be allocated.  A reader that closes stdout early ends the
+command quietly, with exit 0.
+
+``json`` and :mod:`.conv` are imported by the code that uses them, so a
+plain ``seq`` request loads neither.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from math import comb
 from types import SimpleNamespace
 
-from . import conv, seq
+from . import seq
 from .bellpoly import bell_eval, bell_eval_recurrence, bell_symbolic
 from .ring import format_element, parse_element
 from .seq import PRESET_NAMES, BellSequenceSpec, RecurrenceSpec
@@ -41,8 +45,14 @@ from .seq import PRESET_NAMES, BellSequenceSpec, RecurrenceSpec
 # a part): well under a second of work for int, small rational and
 # low-degree Polynomial values, far more for wide Polynomial ones (README)
 MAX_ORACLE_PARTS = 2 * 10**6
+# largest table T[n][k], 0 <= k <= n <= N, that a closed form may build, in
+# cells, (N + 1)(N + 2)/2 of them: N = 1000 is 501,501 cells, and the largest
+# N accepted is 1093; each cell's int grows with N, so such a row takes
+# seconds (README)
+MAX_TABLE_CELLS = 6 * 10**5
 # largest enumeration `bell` accepts, in exponents written (p(n, k) terms of
-# n - k + 1 exponents each): about a second of work
+# n - k + 1 exponents each): about a second of work; the n + 1 factorials to
+# n!, which the coefficients divide, are held to the same bound
 MAX_BELL_EXPONENTS = 2 * 10**6
 
 
@@ -122,6 +132,8 @@ class _Emitter:
         if self.fmt == "plain":
             print(plain, file=self.out)
         elif self.fmt == "json":
+            import json
+
             print(json.dumps(record), file=self.out)
         else:
             fields = self._CSV_FIELDS[record["kind"]]
@@ -139,13 +151,24 @@ class _Emitter:
             print(",".join(cells), file=self.out)
 
 
+def _check_table(N: int, spec=None) -> None:
+    """Refuse a closed form whose table to index N has more than
+    MAX_TABLE_CELLS cells; there is none below N = 0.  Given a spec, the
+    table is the one bell_transform(spec, N) would build, if it builds one."""
+    cells = (N + 1) * (N + 2) // 2 if N >= 0 else 0
+    if cells > MAX_TABLE_CELLS and (spec is None or seq.uses_closed_row(spec, N)):
+        raise ValueError(
+            f"the closed form would build a table of {cells} cells, more than "
+            f"MAX_TABLE_CELLS = {MAX_TABLE_CELLS}"
+        )
+
+
 def _cmd_seq(args, emitter) -> int:
     spec, offset = _resolve_spec(args)
-    if args.apply_offset:
-        window = seq.bell_transform(spec, args.n + max(0, -offset))
-        values = window.shifted(offset, args.n + 1)
-    else:
-        values = list(seq.bell_transform(spec, args.n).values)
+    N = args.n + max(0, -offset) if args.apply_offset else args.n
+    _check_table(N, spec)
+    window = seq.bell_transform(spec, N)
+    values = window.shifted(offset, args.n + 1) if args.apply_offset else window.values
     for i, v in enumerate(values):
         text = format_element(v)
         emitter.emit({"kind": "sequence", "n": i, "value": text}, text)
@@ -153,6 +176,8 @@ def _cmd_seq(args, emitter) -> int:
 
 
 def _cmd_conv(args, emitter) -> int:
+    from . import conv
+
     spec, _ = _resolve_spec(args)
     if args.delta > 0 and (spec.a != 0 or spec.b != 1):
         raise ValueError("shift formula stated for a=0, b=1 family")
@@ -161,6 +186,7 @@ def _cmd_conv(args, emitter) -> int:
         # the shifted row is the a=0, b=1 row at m = n - delta*r: 0 below
         # m = 0, and closed_row gives the 1 at m = 0
         ms = range(1 - args.delta * args.r, args.n + 1 - args.delta * args.r)
+        _check_table(ms.stop - 1)
         row = seq.closed_row(spec, args.r, range(max(ms.start, 0), ms.stop))
         values = [0] * (len(ms) - len(row)) + row
         for n, v in enumerate(values, start=1):
@@ -181,6 +207,9 @@ def _cmd_conv(args, emitter) -> int:
             f"--check would build at least {parts} composition parts, more than "
             f"MAX_ORACLE_PARTS = {MAX_ORACLE_PARTS}; use --closed-only"
         )
+    # the closed side's table; with delta > 0 the window, of the a = 0, b = 1
+    # family, builds none, and with delta = 0 it builds the same one
+    _check_table(args.n - args.delta * args.r)
     # the closed side stays one library call per index, so that a patched
     # conv.convolution_closed is what the check compares with
     def closed(r, n):
@@ -250,6 +279,12 @@ def _cmd_bell(args, emitter) -> int:
         raise ValueError("--symbolic conflicts with --cross-check")
     if not args.symbolic and args.x is None:
         raise ValueError("either --symbolic or --x is required")
+    # the factorials first, so the partitions of a huge n are never counted
+    if n + 1 > MAX_BELL_EXPONENTS:
+        raise ValueError(
+            f"B_({n},{k}) needs the {n + 1} factorials 0!..{n}!, more than "
+            f"MAX_BELL_EXPONENTS = {MAX_BELL_EXPONENTS}"
+        )
     exponents = _partition_count(n, k) * (n - k + 1)
     if exponents > MAX_BELL_EXPONENTS:
         raise ValueError(

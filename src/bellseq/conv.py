@@ -23,12 +23,12 @@ one lookup and one int product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .bellpoly import bell_closed_three_term, bell_eval
-from .ring import Polynomial, RingElement, X, format_element, generalized_binomial, normalized
+from .ring import (Polynomial, Record, RingElement, X, format_element, generalized_binomial,
+                   normalized)
 from .seq import (BellSequenceSpec, SequenceWindow, _norm, _pack, _times, _unpack, bell_transform,
                   closed_row)
 
@@ -55,14 +55,16 @@ class LemmaGuardError(ValueError):
         self.m = m
 
 
-@dataclass(frozen=True)
-class ConvolutionReport:
+class ConvolutionReport(Record):
     """Oracle vs closed form at one (r, n) cell."""
 
-    r: int
-    n: int
-    lhs: RingElement
-    rhs: RingElement
+    __slots__ = ("r", "n", "lhs", "rhs")
+
+    def __init__(self, r: int, n: int, lhs: RingElement, rhs: RingElement):
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     @property
     def matched(self) -> bool:

@@ -41,6 +41,41 @@ def normalized(value: RingElement) -> RingElement:
     raise TypeError(f"exact value expected, got {value!r}")
 
 
+class Record:
+    """Base of the package's immutable value records, whose fields are the
+    names in ``__slots__``, in order: equal and hashed by the tuple of their
+    values when of one class, shown as ``Name(field=value, ...)``, copied
+    and pickled through ``__init__``, and never assigned after it.  Each
+    subclass's ``__init__`` sets every field with ``object.__setattr__``,
+    as a frozen dataclass does."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 class Polynomial:
     """Dense univariate polynomial over the rationals.
 

@@ -53,13 +53,12 @@ equation and the composition oracle end in too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .bellpoly import bell_eval  # noqa: F401  unused; bench/tracing.py wraps seq.bell_eval by name
 from .bellpoly import bell_closed_three_term
-from .ring import Polynomial, RingElement, X, generalized_binomial, normalized
+from .ring import Polynomial, Record, RingElement, X, generalized_binomial, normalized
 
 __all__ = [
     "BellSequenceSpec",
@@ -87,23 +86,22 @@ class RewrittenFormUndefined(ValueError):
         self.k = k
 
 
-@dataclass(frozen=True)
-class BellSequenceSpec:
+class BellSequenceSpec(Record):
     """The triple (a, b, c) defining one sequence of the family.
 
     c is 1-indexed and finite; entries past the end are zero.
     """
 
-    a: int
-    b: int
-    c: tuple
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self):
-        if not isinstance(self.a, int) or not isinstance(self.b, int):
+    def __init__(self, a: int, b: int, c: tuple):
+        if not isinstance(a, int) or not isinstance(b, int):
             raise TypeError("a and b must be integers")
-        if self.a == 0 and self.b == 0:
+        if a == 0 and b == 0:
             raise ValueError("a and b must not both be zero")
-        object.__setattr__(self, "c", tuple(map(normalized, self.c)))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", tuple(map(normalized, c)))
 
     @property
     def ring(self) -> str:
@@ -111,19 +109,19 @@ class BellSequenceSpec:
         return "polynomial" if any(isinstance(cj, Polynomial) for cj in self.c) else "rational"
 
 
-@dataclass(frozen=True)
-class SequenceWindow:
+class SequenceWindow(Record):
     """Values y_0..y_N with the convention y_n = 0 for n < 0."""
 
-    values: tuple
-    spec: BellSequenceSpec | None = None
+    __slots__ = ("values", "spec")
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        if not self.values:
+    def __init__(self, values: tuple, spec: BellSequenceSpec | None = None):
+        values = tuple(values)
+        if not values:
             raise ValueError("window must contain at least y_0")
-        if self.spec is not None and self.values[0] != 1:
+        if spec is not None and values[0] != 1:
             raise ValueError("y_0 must be 1")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "spec", spec)
 
     def __len__(self):
         return len(self.values)
@@ -149,23 +147,23 @@ class SequenceWindow:
         return [self.value_at(n - offset) for n in range(count)]
 
 
-@dataclass(frozen=True)
-class RecurrenceSpec:
+class RecurrenceSpec(Record):
     """a_n = c_1 a_{n-1} + ... + c_d a_{n-d} with initial values a_0..a_{d-1}."""
 
-    coefficients: tuple
-    initial: tuple
+    __slots__ = ("coefficients", "initial")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(map(normalized, self.coefficients)))
-        object.__setattr__(self, "initial", tuple(map(normalized, self.initial)))
-        if len(self.coefficients) < 1:
+    def __init__(self, coefficients: tuple, initial: tuple):
+        coefficients = tuple(map(normalized, coefficients))
+        initial = tuple(map(normalized, initial))
+        if len(coefficients) < 1:
             raise ValueError("recurrence order d must be at least 1")
-        if len(self.coefficients) != len(self.initial):
+        if len(coefficients) != len(initial):
             raise ValueError(
                 f"coefficients and initial values must have equal length, "
-                f"got {len(self.coefficients)} and {len(self.initial)}"
+                f"got {len(coefficients)} and {len(initial)}"
             )
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "initial", initial)
 
     @property
     def order(self) -> int:
@@ -334,7 +332,7 @@ def closed_row(spec: BellSequenceSpec, r: int, indices) -> list:
     if not indices:
         # no table either, so the kept slot of another c stays
         return []
-    N = max(indices)
+    N = indices[-1]
     _, D, _, poly, table, _ = _table(spec.c, N)
     weights = [_column(spec, r, n, D, table[n]) for n in indices]
     B = 0
@@ -450,13 +448,20 @@ def bell_transform(spec: BellSequenceSpec, N: int) -> SequenceWindow:
     """
     if N < 0:
         raise ValueError("N must be non-negative")
-    if spec.ring == "rational" or {
-            spec.a * j + spec.b for j, cj in enumerate(spec.c[:N], start=1) if cj} <= {0, 1}:
+    if uses_closed_row(spec, N):
+        values = closed_row(spec, 1, range(N + 1))
+    else:
         E, B, z, typed = _functional_ints(spec, N)
         values = [_unpack(z_m, B if t else 0, E**m) for m, (z_m, t) in enumerate(zip(z, typed))]
-    else:
-        values = closed_row(spec, 1, range(N + 1))
     return SequenceWindow(tuple(values), spec)
+
+
+def uses_closed_row(spec: BellSequenceSpec, N: int) -> bool:
+    """Whether :func:`bell_transform` takes y_0..y_N from :func:`closed_row`,
+    and so builds its table to N: c has a Polynomial entry, and some nonzero
+    c_j, j <= N, has alpha = a*j + b outside {0, 1}."""
+    return spec.ring == "polynomial" and not {
+        spec.a * j + spec.b for j, cj in enumerate(spec.c[:N], start=1) if cj} <= {0, 1}
 
 
 def bell_transform_rewritten(spec: BellSequenceSpec, N: int) -> SequenceWindow:

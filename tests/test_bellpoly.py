@@ -158,6 +158,17 @@ class TestEvaluation:
     def test_polynomial_arguments(self):
         assert bell_eval(3, 2, [1, 4 * X]) == 12 * X
 
+    def test_each_power_taken_once(self, monkeypatch):
+        poly = bell_symbolic(12, 5)
+        xs = [i + X for i in range(1, 9)]
+        expected = bell_eval_recurrence(12, 5, xs)
+        calls = []
+        power = Polynomial.__pow__
+        monkeypatch.setattr(Polynomial, "__pow__", lambda p, e: calls.append(e) or power(p, e))
+        assert poly.evaluate(xs) == expected
+        used = [(i, a) for _, exponents in poly.terms for i, a in enumerate(exponents) if a]
+        assert len(calls) == len(set(used)) < len(used)
+
     def test_recurrence_base_cases(self):
         assert bell_eval_recurrence(0, 0, [0]) == 1
         for n in range(1, 6):

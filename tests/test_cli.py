@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import subprocess
@@ -96,6 +97,39 @@ class TestSeqCommand:
         assert result.stdout.splitlines() == list(map(format_element, jacobsthal_polys(301)[1:]))
 
 
+# imports bellseq after a snapshot of sys.modules, runs the request given in
+# argv, and prints the modules it added, then every module loaded at the end
+STARTUP = """
+import sys
+before = set(sys.modules)
+from bellseq import cli
+cli.main(sys.argv[1:])
+print(sorted(set(sys.modules) - before))
+print(sorted(sys.modules))
+"""
+
+
+class TestStartup:
+    @staticmethod
+    def modules(*argv):
+        result = subprocess.run([sys.executable, "-c", STARTUP, *argv], capture_output=True,
+                                text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        added, loaded = result.stdout.splitlines()[-2:]
+        return set(ast.literal_eval(added)), set(ast.literal_eval(loaded))
+
+    def test_plain_seq_loads_only_what_it_uses(self):
+        added, _ = self.modules("seq", "--preset", "catalan", "--n", "1")
+        assert "bellseq.seq" in added
+        assert not {"dataclasses", "inspect", "json", "bellseq.conv"} & added
+
+    def test_json_and_conv_load_on_demand(self):
+        added, loaded = self.modules("--format", "json", "seq", "--preset", "catalan", "--n", "1")
+        assert "json" in loaded and "bellseq.conv" not in added
+        added, _ = self.modules("conv", "--preset", "catalan", "--r", "2", "--n", "3")
+        assert "bellseq.conv" in added and "json" not in added
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -138,6 +172,11 @@ class TestUsageErrors:
             ("seq", "--a", "1", "--b", "0", "--c", "x^99999999999999999999", "--n", "2"),
             ("seq", "--preset", "catalan", "--n", "99999999999999999999"),
             ("bell", "--n", "99999999999999999999", "--k", "1", "--symbolic"),
+            # requests that would allocate step by step, refused by their
+            # price: the closed form's table, and the factorials to n!
+            ("conv", "--preset", "catalan", "--r", "1", "--n", "100000000000", "--closed-only"),
+            ("seq", "--a", "1", "--b", "1", "--c", "1+x", "--n", "100000000000"),
+            ("bell", "--n", "100000000000", "--k", "100000000000", "--x", "1"),
             # the parser's own refusals
             (),
             ("--quiet",),
@@ -405,7 +444,8 @@ class TestBellSizeFuzz:
                 code = exc.code
         assert code in (0, 2), err.getvalue()
         assert "Traceback" not in err.getvalue()
-        refused = iterative_partition_count(n, k) * (n - k + 1) > cli.MAX_BELL_EXPONENTS
+        price = max(n + 1, iterative_partition_count(n, k) * (n - k + 1))
+        refused = price > cli.MAX_BELL_EXPONENTS
         assert (code == 2) == refused
 
 

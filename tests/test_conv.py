@@ -5,6 +5,7 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import bellseq
 from bellseq import conv
 from bellseq.conv import (
     ConvolutionReport,
@@ -27,6 +28,18 @@ from _oracles import (
     random_fraction,
     random_ring_spec,
 )
+
+
+def test_package_exports_conv_names():
+    # the package lists conv's names itself, and loads conv on first use
+    assert bellseq.__all__[-len(conv.__all__):] == conv.__all__
+    namespace = {}
+    exec("from bellseq import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(bellseq.__all__)
+    for name in conv.__all__:
+        assert namespace[name] is getattr(bellseq, name) is getattr(conv, name)
+    with pytest.raises(AttributeError):
+        bellseq.no_such_name
 
 
 class TestCompositions:

@@ -1,11 +1,15 @@
+import copy
 import doctest
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 import bellseq.ring
+from bellseq.bellpoly import bell_symbolic
+from bellseq.conv import ConvolutionReport
 from bellseq.ring import (
     Polynomial,
     X,
@@ -14,6 +18,7 @@ from bellseq.ring import (
     normalized,
     parse_element,
 )
+from bellseq.seq import BellSequenceSpec, RecurrenceSpec, SequenceWindow, preset
 
 from _oracles import falling_factorial_binomial, is_canonical
 
@@ -235,3 +240,44 @@ class TestTextForm:
         for bad in (True, 0.5, "1", None):
             with pytest.raises(TypeError):
                 normalized(bad)
+
+
+# the five records, their fields in order, and the repr a frozen dataclass
+# gave them
+RECORDS = [
+    (preset("catalan")[0], ("a", "b", "c"), "BellSequenceSpec(a=1, b=0, c=(2, 1))"),
+    (SequenceWindow((1, 2 * X), BellSequenceSpec(0, 1, (2 * X,))), ("values", "spec"),
+     "SequenceWindow(values=(1, Polynomial((0, 2))), "
+     "spec=BellSequenceSpec(a=0, b=1, c=(Polynomial((0, 2)),)))"),
+    (RecurrenceSpec((1, Fraction(1, 2)), (0, 1)), ("coefficients", "initial"),
+     "RecurrenceSpec(coefficients=(1, Fraction(1, 2)), initial=(0, 1))"),
+    (ConvolutionReport(2, 3, Fraction(1, 2), 1 + X), ("r", "n", "lhs", "rhs"),
+     "ConvolutionReport(r=2, n=3, lhs=Fraction(1, 2), rhs=Polynomial((1, 1)))"),
+    (bell_symbolic(4, 2), ("n", "k", "terms"),
+     "SymbolicBellPolynomial(n=4, k=2, terms=((4, (1, 0, 1)), (3, (0, 2, 0))))"),
+]
+
+
+@pytest.mark.parametrize("record, fields, text", RECORDS,
+                         ids=[type(record).__name__ for record, _, _ in RECORDS])
+def test_records_are_immutable_values(record, fields, text):
+    values = tuple(getattr(record, name) for name in fields)
+    assert repr(record) == text
+    # a frozen dataclass hashes the tuple of its fields
+    assert hash(record) == hash(values)
+    assert record != values
+    twins = [
+        type(record)(**dict(zip(fields, values))),
+        copy.copy(record),
+        copy.deepcopy(record),
+        pickle.loads(pickle.dumps(record)),
+    ]
+    for twin in twins:
+        assert type(twin) is type(record)
+        assert twin == record and hash(twin) == hash(record) and repr(twin) == text
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert tuple(getattr(record, name) for name in fields) == values
