@@ -13,7 +13,7 @@ plus closed forms for the two argument patterns (c1, 2c2, 0, ...) and
 
 from __future__ import annotations
 
-from math import factorial
+from math import comb, factorial
 
 from .ring import Record, RingElement, generalized_binomial, normalized
 
@@ -126,18 +126,19 @@ class _Factorials(dict):
 
 
 def bell_symbolic(n: int, k: int) -> SymbolicBellPolynomial:
-    """Symbolic B_{n,k}; term order follows :func:`enumerate_pi`.  Only the
-    factorials the coefficients use are computed, each once: n! and those of
-    the part sizes and multiplicities that occur."""
+    """Symbolic B_{n,k}; term order follows :func:`enumerate_pi`.  A term's
+    coefficient n!/prod_i a_i! (i!)^(a_i) is binom(n, a_1) (n - a_1)! over the
+    classes i >= 2, so n! is formed only for a term with no part of size 1;
+    each factorial is computed once, on first use."""
     _check_nk(n, k)
     fact = _Factorials()
     terms = []
     for exponents in enumerate_pi(n, k):
         denom = 1
-        for i, a in enumerate(exponents, start=1):
+        for i, a in enumerate(exponents[1:], start=2):
             if a:
                 denom *= fact[a] * fact[i] ** a
-        terms.append((fact[n] // denom, exponents))
+        terms.append((comb(n, exponents[0]) * fact[n - exponents[0]] // denom, exponents))
     return SymbolicBellPolynomial(n, k, tuple(terms))
 
 

@@ -51,8 +51,8 @@ MAX_ORACLE_PARTS = 2 * 10**6
 # seconds (README)
 MAX_TABLE_CELLS = 6 * 10**5
 # largest enumeration `bell` accepts, in exponents written (p(n, k) terms of
-# n - k + 1 exponents each): about a second of work; the n + 1 factorials to
-# n!, which the coefficients divide, are held to the same bound
+# n - k + 1 exponents each): about a second of work; the n + 1 factorials
+# 0!..n!, the most the coefficients can use, are held to the same bound
 MAX_BELL_EXPONENTS = 2 * 10**6
 
 
@@ -285,11 +285,13 @@ def _cmd_bell(args, emitter) -> int:
             f"B_({n},{k}) needs the {n + 1} factorials 0!..{n}!, more than "
             f"MAX_BELL_EXPONENTS = {MAX_BELL_EXPONENTS}"
         )
-    exponents = _partition_count(n, k) * (n - k + 1)
+    # then p(n, k) >= floor((n - k)/2) + 1 (2 <= k <= n) refuses before any counting
+    least = ((n - k) // 2 + 1) * (n - k + 1) if 2 <= k <= n else 0
+    exponents = least if least > MAX_BELL_EXPONENTS else _partition_count(n, k) * (n - k + 1)
     if exponents > MAX_BELL_EXPONENTS:
         raise ValueError(
-            f"B_({n},{k}) has {exponents} exponents over its terms, more than "
-            f"MAX_BELL_EXPONENTS = {MAX_BELL_EXPONENTS}"
+            f"B_({n},{k}) has {'at least ' * (exponents == least)}{exponents} exponents over "
+            f"its terms, more than MAX_BELL_EXPONENTS = {MAX_BELL_EXPONENTS}"
         )
     if args.symbolic:
         text = str(bell_symbolic(n, k))

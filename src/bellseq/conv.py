@@ -15,22 +15,20 @@ Both closed forms are calls into the power-series kernel of :mod:`.seq`
 and the lemma checker compute on their own.  The oracle still visits every
 composition, but sums int products: the values it reads are scaled by one
 common denominator and, when some are Polynomials, packed into ints at
-x = 2^B with the kernel's packing, so each sum ends in the kernel's one
-decode, which unpacks it and divides once.  They sit in one list indexed by
-the part itself, 0 where a part makes the product vanish, so a part costs
-one lookup and one int product.
+x = 2^B, so each sum ends in one decode, which unpacks it and divides once,
+all three steps from the exact-int layer of :mod:`.ring`.  The values sit in
+one list indexed by the part itself, 0 where a part makes the product vanish,
+so a part costs one lookup and one int product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .bellpoly import bell_closed_three_term, bell_eval
-from .ring import (Polynomial, Record, RingElement, X, format_element, generalized_binomial,
-                   normalized)
-from .seq import (BellSequenceSpec, SequenceWindow, _norm, _pack, _times, _unpack, bell_transform,
-                  closed_row)
+from .ring import (Polynomial, Record, RingElement, X, _norm, _pack, _scale, _unpack,
+                   format_element, generalized_binomial, normalized)
+from .seq import BellSequenceSpec, SequenceWindow, bell_transform, closed_row
 
 __all__ = [
     "ConvolutionReport",
@@ -138,8 +136,7 @@ def convolution_oracle(window: SequenceWindow, r: int, n: int, delta: int = 0) -
     M = n - r * delta
     low = M if r == 1 else 0
     used = window.values[low:M + 1] if M >= 0 else ()
-    D = lcm(*(y.denominator for y in used))
-    scaled = [_times(D, y) for y in used]
+    D, scaled = _scale(used)
     B = 0
     if any(isinstance(y, Polynomial) for y in used):
         B = _norm_power(list(map(_norm, scaled)), r).bit_length() + 1

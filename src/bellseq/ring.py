@@ -6,7 +6,9 @@ or a :class:`Polynomial` with int and Fraction coefficients, and
 :func:`normalized` alone decides what is exact and puts it in canonical form
 (an int when integral, else a reduced Fraction).  The three types mix freely
 under ``+``, ``-``, ``*`` and ``**``; results are exact and canonical.
-Floating point never enters.
+Floating point never enters.  Every exact route of the package ends in
+the exact-int layer below the ring: :func:`_scale`, :func:`_pack` (at
+x = 2^B, Kronecker substitution), :func:`_norm` and :func:`_unpack`.
 """
 
 from __future__ import annotations
@@ -255,6 +257,58 @@ class Polynomial:
 X = Polynomial((0, 1))
 
 RingElement = Union[int, Fraction, Polynomial]
+
+
+def _scale(values) -> tuple:
+    """(D, [D*v for v in values]) in canonical form, D the lcm of the values'
+    denominators (of the coefficients, for a Polynomial): a scalar becomes an
+    int with no Fraction product, and a Polynomial is multiplied only when
+    D > 1, so an int-coefficient Polynomial costs no product."""
+    D = lcm(*(v.denominator for v in values))
+    return D, [(D * v if D > 1 else v) if isinstance(v, Polynomial)
+               else D // v.denominator * v.numerator for v in values]
+
+
+def _pack(entry: RingElement, B: int) -> int:
+    """An int or int-coefficient Polynomial entry at x = 2^B, by shifts; the
+    identity on ints."""
+    if not isinstance(entry, Polynomial):
+        return entry
+    packed = 0
+    for coefficient in reversed(entry.coefficients):
+        packed = (packed << B) + coefficient
+    return packed
+
+
+def _norm(entry: RingElement) -> int:
+    """||entry||_1, the sum of the absolute values of its coefficients."""
+    return sum(map(abs, entry.coefficients)) if isinstance(entry, Polynomial) else abs(entry)
+
+
+def _unpack(value: int, B: int, denominator: int) -> RingElement:
+    """value / denominator in canonical form, denominator > 0: for B = 0 the
+    scalar, an int when the division is exact, else a Fraction; for B > 0
+    the Polynomial packed into value at x = 2^B, each coefficient a balanced
+    base-2^B digit, in [-2^(B-1), 2^(B-1)), divided the same way; every
+    coefficient packed into value must lie in that range.
+
+    >>> _unpack(_pack(Polynomial((3, -1, 2)), 3), 3, 6)
+    Polynomial((Fraction(1, 2), Fraction(-1, 6), Fraction(1, 3)))
+    >>> _unpack(-9, 0, 6), _unpack(-12, 0, 6)
+    (Fraction(-3, 2), -2)
+    """
+    if not B:
+        quotient, remainder = divmod(value, denominator)
+        return Fraction(value, denominator) if remainder else quotient
+    coefficients = []
+    half = 1 << (B - 1)
+    mask = (1 << B) - 1
+    while value:
+        digit = ((value + half) & mask) - half
+        quotient, remainder = divmod(digit, denominator)
+        coefficients.append(Fraction(digit, denominator) if remainder else quotient)
+        value = (value - digit) >> B
+    return Polynomial._exact(coefficients)
 
 
 def generalized_binomial(t: int, k: int) -> int:

@@ -47,8 +47,8 @@ J. Symbolic Comput. 44, 2009), so the table and the weighted column sums
 are plain int arithmetic for both rings.  B comes from a norm pass, the
 same sums over the table of ||D*c_j||_1 with |binom| weights, which bound
 every coefficient; each sum is unpacked once, as balanced base-2^B digits,
-and divided once, by :func:`_unpack`, the one decode that the functional
-equation and the composition oracle end in too.
+and divided once, by the exact-int layer of :mod:`.ring`, which the
+functional equation and the composition oracle end in too.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ from math import lcm
 
 from .bellpoly import bell_eval  # noqa: F401  unused; bench/tracing.py wraps seq.bell_eval by name
 from .bellpoly import bell_closed_three_term
-from .ring import Polynomial, Record, RingElement, X, generalized_binomial, normalized
+from .ring import (Polynomial, Record, RingElement, X, _norm, _pack, _scale, _unpack,
+                   generalized_binomial, normalized)
 
 __all__ = [
     "BellSequenceSpec",
@@ -170,22 +171,10 @@ class RecurrenceSpec(Record):
         return len(self.coefficients)
 
 
-def _times(D: int, v: RingElement) -> RingElement:
-    """D*v in canonical form, D a positive multiple of v's denominator (of
-    its coefficients', for a Polynomial): an int for a scalar, formed with no
-    Fraction product, and a Polynomial with int coefficients, formed only
-    when D > 1, so an int-coefficient Polynomial costs no product."""
-    if isinstance(v, Polynomial):
-        return D * v if D > 1 else v
-    return D // v.denominator * v.numerator
-
-
 def _scaled(c) -> tuple:
-    """(D, entries): D the lcm of the denominators in c (of the coefficients,
-    for Polynomial entries) and entries the pairs (j, D*c_j) with c_j != 0,
-    each from :func:`_times`."""
-    D = lcm(*(cj.denominator for cj in c))
-    return D, [(j, _times(D, cj)) for j, cj in enumerate(c, start=1) if cj]
+    """(D, entries): D of :func:`_scale` on c, entries the (j, D*c_j), c_j != 0."""
+    D, scaled = _scale(c)
+    return D, [(j, e) for j, e in enumerate(scaled, start=1) if e]
 
 
 _UNIT = ((1,),)  # the table to N = 0
@@ -269,48 +258,6 @@ def _column(spec: BellSequenceSpec, r: int, n: int, D: int, column: list) -> tup
     return L, weights
 
 
-def _pack(entry: RingElement, B: int) -> int:
-    """An int or int-coefficient Polynomial entry at x = 2^B, by shifts; the
-    identity on ints."""
-    if not isinstance(entry, Polynomial):
-        return entry
-    packed = 0
-    for coefficient in reversed(entry.coefficients):
-        packed = (packed << B) + coefficient
-    return packed
-
-
-def _norm(entry: RingElement) -> int:
-    """||entry||_1, the sum of the absolute values of its coefficients."""
-    return sum(map(abs, entry.coefficients)) if isinstance(entry, Polynomial) else abs(entry)
-
-
-def _unpack(value: int, B: int, denominator: int) -> RingElement:
-    """value / denominator in canonical form, denominator > 0: for B = 0 the
-    scalar, an int when the division is exact, else a Fraction; for B > 0
-    the Polynomial packed into value at x = 2^B, each coefficient a balanced
-    base-2^B digit, in [-2^(B-1), 2^(B-1)), divided the same way; every
-    coefficient packed into value must lie in that range.
-
-    >>> _unpack(_pack(Polynomial((3, -1, 2)), 3), 3, 6)
-    Polynomial((Fraction(1, 2), Fraction(-1, 6), Fraction(1, 3)))
-    >>> _unpack(-9, 0, 6), _unpack(-12, 0, 6)
-    (Fraction(-3, 2), -2)
-    """
-    if not B:
-        quotient, remainder = divmod(value, denominator)
-        return Fraction(value, denominator) if remainder else quotient
-    coefficients = []
-    half = 1 << (B - 1)
-    mask = (1 << B) - 1
-    while value:
-        digit = ((value + half) & mask) - half
-        quotient, remainder = divmod(digit, denominator)
-        coefficients.append(Fraction(digit, denominator) if remainder else quotient)
-        value = (value - digit) >> B
-    return Polynomial._exact(coefficients)
-
-
 def closed_row(spec: BellSequenceSpec, r: int, indices) -> list:
     """r * sum_{k=1..n} binom(a*n + b*k + r-1, k-1) / k * [t^n] g^k (1 at n = 0)
     for each n of indices, an increasing sequence of non-negative ints.
@@ -318,9 +265,9 @@ def closed_row(spec: BellSequenceSpec, r: int, indices) -> list:
     At r = 1 this is y_n, for r >= 1 the r-fold convolution of y at index n.
     One table T[n][k] = [t^n] (D*g)^k serves every index; with L = lcm(1..n)
     each value is the int sum_k r * binom * (L/k) * D^(n-k) * T[n][k],
-    unpacked when c has Polynomial entries and divided once by L * D^n (see
-    :func:`_unpack`).  The norm pass bounds every coefficient of every sum,
-    so B = bits(bound) + 1, the +1 for the sign, keeps the packing exact.
+    unpacked when c has Polynomial entries and divided once by L * D^n.  The
+    norm pass bounds every coefficient of every sum, so B = bits(bound) + 1,
+    the +1 for the sign, keeps the packing exact.
 
     The table depends on c alone, so the last one is kept for both rings
     (see :func:`_table`): calls that walk n one index at a time, or r, build
@@ -544,9 +491,9 @@ def decompose(rec: RecurrenceSpec, N: int) -> tuple:
     The window is summed in ints: with z_m = E^m y_m from
     :func:`_functional_ints`, L the lcm of the denominators of the lambdas
     and lambda'_j = L lambda_j E^j, L E^n a_n = sum_{j <= min(n, d-1)}
-    lambda'_j z_(n-j), one int per n, decoded once by :func:`_unpack`.  The
-    scaled lambdas L lambda_j are passed to _functional_ints, whose B then
-    packs every such sum exactly, so z is solved once at that width.  a_n
+    lambda'_j z_(n-j), one int per n, decoded once.  The scaled lambdas
+    L lambda_j are passed to _functional_ints, whose B then packs every
+    such sum exactly, so z is solved once at that width.  a_n
     is a Polynomial exactly when some term has a Polynomial factor,
     lambda_j or y_(n-j), as Polynomial arithmetic gives it, 0 * Polynomial
     included.  Only the lambdas take ring products, so their number does
@@ -562,8 +509,7 @@ def decompose(rec: RecurrenceSpec, N: int) -> tuple:
         for j in range(1, i + 1):
             acc = acc - (c[j - 1] or 0) * a[i - j]
         lambdas.append(normalized(acc))
-    L = lcm(*(v.denominator for v in lambdas))
-    scaled = [_times(L, v) for v in lambdas]
+    L, scaled = _scale(lambdas)
     poly = [isinstance(v, Polynomial) for v in lambdas]
     E, B, z, typed = _functional_ints(BellSequenceSpec(0, 1, c), N, scaled)
     packed = [_pack(v, B) * E**j for j, v in enumerate(scaled)]

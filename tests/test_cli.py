@@ -177,6 +177,9 @@ class TestUsageErrors:
             ("conv", "--preset", "catalan", "--r", "1", "--n", "100000000000", "--closed-only"),
             ("seq", "--a", "1", "--b", "1", "--c", "1+x", "--n", "100000000000"),
             ("bell", "--n", "100000000000", "--k", "100000000000", "--x", "1"),
+            # refused by a lower bound on p(n, k), before the partitions are
+            # counted
+            ("bell", "--n", "20000", "--k", "10000", "--symbolic"),
             # the parser's own refusals
             (),
             ("--quiet",),
@@ -199,6 +202,11 @@ class TestUsageErrors:
         lines = result.stderr.splitlines()
         assert sum("error:" in line for line in lines) == 1
         assert sum(line.startswith("usage:") for line in lines) == 1
+
+    def test_bell_refused_by_a_lower_bound(self):
+        result = run_subprocess("bell", "--n", "20000", "--k", "10000", "--symbolic")
+        assert result.returncode == 2
+        assert "has at least 50015001 exponents" in result.stderr
 
     @pytest.mark.parametrize("argv, shows", [
         (("-h",), ["seq", "conv", "decompose", "bell", "--format", "--quiet"]),
@@ -431,6 +439,10 @@ class TestBellSizeFuzz:
     @example((1200, 2), True)
     @example((1200, 1200), False)
     @example((120, 30), True)
+    # at k = 2 the lower bound that refuses first equals p(n, k): the largest
+    # n accepted, and the next n with more exponents
+    @example((2000, 2), True)
+    @example((2002, 2), True)
     def test_exits_0_or_2(self, nk, symbolic):
         n, k = nk
         xs = ",".join(["1", "-2", "1/3", "x"][i % 4] for i in range(n - k + 1))
@@ -642,6 +654,21 @@ class TestBellCommand:
         assert len(terms) == iterative_partition_count(1500, 1460) == 37338
         assert len(terms) * 41 == 1_530_858
         assert terms[0] == f"{comb(1500, 41)}*x1^1459*x41"
+
+    @pytest.mark.parametrize(
+        "n, k, xs, value",
+        [
+            # one term, a_1 = n: binom(n, n) 0! = 1, with no n!
+            (1000000, 1000000, "1", "1"),
+            # a_1 = n - 2 and a_2 = 1: binom(n, n - 2) 2!/2!
+            (1999999, 1999998, "1,1", "1999997000001"),
+        ],
+        ids=["1000000-1000000", "1999999-1999998"],
+    )
+    def test_top_of_range_needs_no_factorial_of_n(self, n, k, xs, value):
+        result = run_subprocess("bell", "--n", str(n), "--k", str(k), "--x", xs)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == value
 
     @pytest.mark.parametrize(
         "n, k, xs, value",

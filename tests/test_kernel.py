@@ -8,10 +8,8 @@ value and type, and so are sequences of calls
 that share, grow, reuse and replace the kernel's last table, in both rings,
 the packed table of Polynomial entries with its width included, from one
 thread and from four.  A Polynomial window, and decompose's window, run
-the recurrence twice over the row.  The one decode of packed sums inverts
-the packing, up to 300 coefficients, and a call that the kept slot already
-covers packs nothing.  Scaling by a common denominator equals the ring
-product."""
+the recurrence twice over the row, and a call that the kept slot already
+covers packs nothing."""
 
 import sys
 import threading
@@ -24,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bellseq import seq
 from bellseq.conv import convolution_closed, shifted_convolution_closed
-from bellseq.ring import Polynomial, X, normalized
+from bellseq.ring import Polynomial, X
 from bellseq.seq import (
     BellSequenceSpec,
     RecurrenceSpec,
@@ -252,63 +250,6 @@ def test_polynomial_table_is_integral():
     assert all(type(v) is int for row in table for v in row)
 
 
-@st.composite
-def packed_values(draw):
-    """(p, B): an int at B = 0, else an int-coefficient Polynomial whose every
-    coefficient lies in [-2^(B-1), 2^(B-1)), the two ends of it drawn often."""
-    B = draw(st.integers(0, 80))
-    if not B:
-        return draw(st.integers(-10**30, 10**30)), 0
-    half = 1 << (B - 1)
-    digits = st.one_of(st.sampled_from((-half, half - 1)), st.integers(-half, half - 1))
-    return Polynomial(draw(st.lists(digits, max_size=8))), B
-
-
-@settings(max_examples=200, deadline=None)
-@given(packed_values(), st.integers(1, 10**6))
-@example((Polynomial(), 1), 3)  # the zero polynomial at B = 1
-@example((Polynomial((-1, 0, -1)), 1), 2)
-@example((Polynomial((-2**63, 2**63 - 1, -2**63)), 64), 6)
-@example((12, 0), 4)  # exact
-@example((-12, 0), 4)  # exact and negative
-@example((7, 0), 4)  # inexact
-@example((-7, 0), 4)  # inexact and negative
-def test_unpack_inverts_pack(packed, d):
-    p, B = packed
-    value = seq._unpack(_pack(p, B), B, d)
-    expected = normalized(p * Fraction(1, d))
-    assert value == expected
-    assert type(value) is type(expected)
-    assert_canonical(value)
-
-
-@st.composite
-def long_packed_values(draw):
-    """(p, B): an int-coefficient Polynomial of 33 to 300 coefficients in
-    [-2^(B-1), 2^(B-1)), made of runs of either end of that range, of zeros
-    and of random digits, its top coefficient nonzero, and B from 1 to 80."""
-    B = draw(st.integers(1, 80))
-    half = 1 << (B - 1)
-    digits = st.one_of(st.sampled_from((-half, half - 1, 0)), st.integers(-half, half - 1))
-    runs = draw(st.lists(st.tuples(digits, st.integers(1, 60)), min_size=1, max_size=20))
-    pattern = [v for v, count in runs for _ in range(count)]
-    coefficients = (pattern * (300 // len(pattern) + 1))[:draw(st.integers(33, 300))]
-    coefficients[-1] = coefficients[-1] or -half
-    return Polynomial(coefficients), B
-
-
-@settings(max_examples=200, deadline=None)
-@given(long_packed_values(), st.integers(1, 10**6))
-def test_unpack_inverts_pack_long(packed, d):
-    p, B = packed
-    assert p.degree >= 32
-    value = seq._unpack(_pack(p, B), B, d)
-    expected = normalized(p * Fraction(1, d))
-    assert value == expected
-    assert type(value) is type(expected)
-    assert_canonical(value)
-
-
 def assert_matches_table(spec, r, N):
     """closed_row over 0..N equals the Polynomial-arithmetic table's column
     sums, with the same type unless the value is zero."""
@@ -348,21 +289,6 @@ def test_warm_slot_packs_nothing(monkeypatch):
         closed_row(spec, 3, (n,))
     assert calls == []
     assert seq._last_table[4] is kept[4] and seq._last_table[5][1] is kept[5][1]
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(scalars, polys, st.just(Polynomial())), st.integers(1, 60))
-@example(Fraction(-7, 12), 1)
-@example(Polynomial((Fraction(1, 2), 3)), 1)  # D = 2 > 1
-@example(Polynomial((1, -3)), 1)  # D = 1: no product
-@example(Polynomial((Fraction(4, 2),)), 5)
-def test_times_is_the_scaled_product(v, k):
-    D = v.denominator * k
-    value = seq._times(D, v)
-    expected = normalized(D * v)
-    assert value == expected
-    assert type(value) is type(expected)
-    assert_canonical(value)
 
 
 big_scalars = st.fractions(min_value=-10**9, max_value=10**9, max_denominator=12)

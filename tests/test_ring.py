@@ -5,7 +5,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import bellseq.ring
 from bellseq.bellpoly import bell_symbolic
@@ -13,6 +13,9 @@ from bellseq.conv import ConvolutionReport
 from bellseq.ring import (
     Polynomial,
     X,
+    _pack,
+    _scale,
+    _unpack,
     format_element,
     generalized_binomial,
     normalized,
@@ -281,3 +284,84 @@ def test_records_are_immutable_values(record, fields, text):
         with pytest.raises(AttributeError):
             delattr(record, name)
     assert tuple(getattr(record, name) for name in fields) == values
+
+
+# the exact-int layer: scaling by a common denominator, packing at x = 2^B
+# and the one decode
+
+@st.composite
+def packed_values(draw):
+    """(p, B): an int at B = 0, else an int-coefficient Polynomial whose every
+    coefficient lies in [-2^(B-1), 2^(B-1)), the two ends of it drawn often."""
+    B = draw(st.integers(0, 80))
+    if not B:
+        return draw(st.integers(-10**30, 10**30)), 0
+    half = 1 << (B - 1)
+    digits = st.one_of(st.sampled_from((-half, half - 1)), st.integers(-half, half - 1))
+    return Polynomial(draw(st.lists(digits, max_size=8))), B
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_values(), st.integers(1, 10**6))
+@example((Polynomial(), 1), 3)  # the zero polynomial at B = 1
+@example((Polynomial((-1, 0, -1)), 1), 2)
+@example((Polynomial((-2**63, 2**63 - 1, -2**63)), 64), 6)
+@example((12, 0), 4)  # exact
+@example((-12, 0), 4)  # exact and negative
+@example((7, 0), 4)  # inexact
+@example((-7, 0), 4)  # inexact and negative
+def test_unpack_inverts_pack(packed, d):
+    p, B = packed
+    value = _unpack(_pack(p, B), B, d)
+    expected = normalized(p * Fraction(1, d))
+    assert value == expected
+    assert type(value) is type(expected)
+    assert is_canonical(value), repr(value)
+
+
+@st.composite
+def long_packed_values(draw):
+    """(p, B): an int-coefficient Polynomial of 33 to 300 coefficients in
+    [-2^(B-1), 2^(B-1)), made of runs of either end of that range, of zeros
+    and of random digits, its top coefficient nonzero, and B from 1 to 80."""
+    B = draw(st.integers(1, 80))
+    half = 1 << (B - 1)
+    digits = st.one_of(st.sampled_from((-half, half - 1, 0)), st.integers(-half, half - 1))
+    runs = draw(st.lists(st.tuples(digits, st.integers(1, 60)), min_size=1, max_size=20))
+    pattern = [v for v, count in runs for _ in range(count)]
+    coefficients = (pattern * (300 // len(pattern) + 1))[:draw(st.integers(33, 300))]
+    coefficients[-1] = coefficients[-1] or -half
+    return Polynomial(coefficients), B
+
+
+@settings(max_examples=200, deadline=None)
+@given(long_packed_values(), st.integers(1, 10**6))
+def test_unpack_inverts_pack_long(packed, d):
+    p, B = packed
+    assert p.degree >= 32
+    value = _unpack(_pack(p, B), B, d)
+    expected = normalized(p * Fraction(1, d))
+    assert value == expected
+    assert type(value) is type(expected)
+    assert is_canonical(value), repr(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(fractions_st.map(normalized), polys_st, st.just(0)), max_size=5))
+@example([Fraction(-7, 12)])
+@example([Polynomial((Fraction(1, 2), 3)), 0])  # D = 2 > 1
+@example([Polynomial((1, -3)), 5, Polynomial()])  # D = 1: no product
+@example([Polynomial((Fraction(4, 2),)), Fraction(1, 6), Polynomial()])
+@example([])
+def test_scale_is_the_scaled_product(values):
+    D, scaled = _scale(values)
+    coefficients = [c for v in values for c in (v.coefficients if isinstance(v, Polynomial) else (v,))]
+    assert D == math.lcm(*(Fraction(c).denominator for c in coefficients))
+    assert len(scaled) == len(values)
+    for v, value in zip(values, scaled):
+        expected = normalized(D * v)
+        assert value == expected
+        assert type(value) is type(expected)
+        assert is_canonical(value), repr(value)
+        if D == 1 and isinstance(v, Polynomial):
+            assert value is v
