@@ -127,18 +127,23 @@ class _Factorials(dict):
 
 def bell_symbolic(n: int, k: int) -> SymbolicBellPolynomial:
     """Symbolic B_{n,k}; term order follows :func:`enumerate_pi`.  A term's
-    coefficient n!/prod_i a_i! (i!)^(a_i) is binom(n, a_1) (n - a_1)! over the
-    classes i >= 2, so n! is formed only for a term with no part of size 1;
-    each factorial is computed once, on first use."""
+    coefficient n!/prod_i a_i! (i!)^(a_i) is binom(n, a_1) times, for each
+    class i >= 2 peeled off the rest, binom(rest, i a_i) (i a_i)!/(a_i! (i!)^(a_i)),
+    the fraction 1 at a_i = 1: as i a_i <= 2 (i - 1) a_i, no factorial
+    above 2 (n - k) is formed, each once, on first use."""
     _check_nk(n, k)
     fact = _Factorials()
     terms = []
     for exponents in enumerate_pi(n, k):
-        denom = 1
+        rest = n - exponents[0]
+        coefficient = comb(n, rest)
         for i, a in enumerate(exponents[1:], start=2):
             if a:
-                denom *= fact[a] * fact[i] ** a
-        terms.append((comb(n, exponents[0]) * fact[n - exponents[0]] // denom, exponents))
+                coefficient *= comb(rest, i * a)
+                rest -= i * a
+                if a > 1:
+                    coefficient *= fact[i * a] // (fact[a] * fact[i] ** a)
+        terms.append((coefficient, exponents))
     return SymbolicBellPolynomial(n, k, tuple(terms))
 
 

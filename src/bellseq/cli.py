@@ -17,12 +17,11 @@ usage and exits 0.
 Every usage error, whether the parser or the library rejects the request,
 exits 2 with one ``usage:`` line and one ``error:`` line on stderr; so does a
 ``conv --check`` request whose oracle would build more than
-MAX_ORACLE_PARTS composition parts, a ``conv`` or ``seq`` request whose
-closed form would build a table of more than MAX_TABLE_CELLS cells, a
-``bell`` request whose B_{n,k} has more than MAX_BELL_EXPONENTS exponents
-over all its terms, or more factorials 0!..n!, and a request whose memory
-cannot be allocated.  A reader that closes stdout early ends the
-command quietly, with exit 0.
+MAX_ORACLE_PARTS composition parts, a ``bell`` request whose B_{n,k} has
+more than MAX_BELL_EXPONENTS exponents over all its terms, or an n + 1
+above it, and a request whose memory cannot be allocated; a closed form's
+table past ``seq.MAX_TABLE_CELLS`` is refused where :mod:`.seq` builds it.
+A reader that closes stdout early ends the command quietly, with exit 0.
 
 ``json`` and :mod:`.conv` are imported by the code that uses them, so a
 plain ``seq`` request loads neither.
@@ -45,14 +44,9 @@ from .seq import PRESET_NAMES, BellSequenceSpec, RecurrenceSpec
 # a part): well under a second of work for int, small rational and
 # low-degree Polynomial values, far more for wide Polynomial ones (README)
 MAX_ORACLE_PARTS = 2 * 10**6
-# largest table T[n][k], 0 <= k <= n <= N, that a closed form may build, in
-# cells, (N + 1)(N + 2)/2 of them: N = 1000 is 501,501 cells, and the largest
-# N accepted is 1093; each cell's int grows with N, so such a row takes
-# seconds (README)
-MAX_TABLE_CELLS = 6 * 10**5
 # largest enumeration `bell` accepts, in exponents written (p(n, k) terms of
-# n - k + 1 exponents each): about a second of work; the n + 1 factorials
-# 0!..n!, the most the coefficients can use, are held to the same bound
+# n - k + 1 exponents each): about a second of work; n + 1 is held to the
+# same bound, for the multiplicities and powers up to k <= n that a term takes
 MAX_BELL_EXPONENTS = 2 * 10**6
 
 
@@ -151,22 +145,9 @@ class _Emitter:
             print(",".join(cells), file=self.out)
 
 
-def _check_table(N: int, spec=None) -> None:
-    """Refuse a closed form whose table to index N has more than
-    MAX_TABLE_CELLS cells; there is none below N = 0.  Given a spec, the
-    table is the one bell_transform(spec, N) would build, if it builds one."""
-    cells = (N + 1) * (N + 2) // 2 if N >= 0 else 0
-    if cells > MAX_TABLE_CELLS and (spec is None or seq.uses_closed_row(spec, N)):
-        raise ValueError(
-            f"the closed form would build a table of {cells} cells, more than "
-            f"MAX_TABLE_CELLS = {MAX_TABLE_CELLS}"
-        )
-
-
 def _cmd_seq(args, emitter) -> int:
     spec, offset = _resolve_spec(args)
     N = args.n + max(0, -offset) if args.apply_offset else args.n
-    _check_table(N, spec)
     window = seq.bell_transform(spec, N)
     values = window.shifted(offset, args.n + 1) if args.apply_offset else window.values
     for i, v in enumerate(values):
@@ -186,7 +167,6 @@ def _cmd_conv(args, emitter) -> int:
         # the shifted row is the a=0, b=1 row at m = n - delta*r: 0 below
         # m = 0, and closed_row gives the 1 at m = 0
         ms = range(1 - args.delta * args.r, args.n + 1 - args.delta * args.r)
-        _check_table(ms.stop - 1)
         row = seq.closed_row(spec, args.r, range(max(ms.start, 0), ms.stop))
         values = [0] * (len(ms) - len(row)) + row
         for n, v in enumerate(values, start=1):
@@ -207,9 +187,6 @@ def _cmd_conv(args, emitter) -> int:
             f"--check would build at least {parts} composition parts, more than "
             f"MAX_ORACLE_PARTS = {MAX_ORACLE_PARTS}; use --closed-only"
         )
-    # the closed side's table; with delta > 0 the window, of the a = 0, b = 1
-    # family, builds none, and with delta = 0 it builds the same one
-    _check_table(args.n - args.delta * args.r)
     # the closed side stays one library call per index, so that a patched
     # conv.convolution_closed is what the check compares with
     def closed(r, n):
@@ -217,11 +194,14 @@ def _cmd_conv(args, emitter) -> int:
             return conv.shifted_convolution_closed(spec.c, r, n, args.delta)
         return conv.convolution_closed(spec, r, n)
 
+    # the last index first: it builds the largest table, so a request the
+    # library refuses is refused before the window and before any output
+    last = closed(args.r, args.n) if args.n else None
     window = seq.bell_transform(spec, args.n)
     all_matched = True
     for n in range(1, args.n + 1):
         lhs = conv.convolution_oracle(window, args.r, n, args.delta)
-        rhs = closed(args.r, n)
+        rhs = last if n == args.n else closed(args.r, n)
         report = conv.ConvolutionReport(args.r, n, lhs, rhs)
         all_matched &= report.matched
         rec = report.to_record()
@@ -279,11 +259,12 @@ def _cmd_bell(args, emitter) -> int:
         raise ValueError("--symbolic conflicts with --cross-check")
     if not args.symbolic and args.x is None:
         raise ValueError("either --symbolic or --x is required")
-    # the factorials first, so the partitions of a huge n are never counted
+    # n first, so a huge n is never counted: enumerate_pi steps through the
+    # multiplicities of size 1 from k down, and --x raises an entry to k <= n
     if n + 1 > MAX_BELL_EXPONENTS:
         raise ValueError(
-            f"B_({n},{k}) needs the {n + 1} factorials 0!..{n}!, more than "
-            f"MAX_BELL_EXPONENTS = {MAX_BELL_EXPONENTS}"
+            f"B_({n},{k}) takes multiplicities and powers up to {n}, {n + 1} values, "
+            f"more than MAX_BELL_EXPONENTS = {MAX_BELL_EXPONENTS}"
         )
     # then p(n, k) >= floor((n - k)/2) + 1 (2 <= k <= n) refuses before any counting
     least = ((n - k) // 2 + 1) * (n - k + 1) if 2 <= k <= n else 0

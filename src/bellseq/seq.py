@@ -205,6 +205,12 @@ def _powers(entries, N: int, columns=_UNIT) -> list:
     return columns
 
 
+# largest table T[n][k], 0 <= k <= n <= N, that _table builds, in cells,
+# (N + 1)(N + 2)/2 of them: N = 1000 is 501,501 cells, and the largest N
+# accepted is 1093; each cell's int grows with N, so such a row takes
+# seconds (README)
+MAX_TABLE_CELLS = 6 * 10**5
+
 # ((c, the types of its entries), D, entries, poly, T, (B, P)) of the last
 # table, (B, P) its packed table or (0, _UNIT): replaced, never changed
 _last_table = None
@@ -225,6 +231,12 @@ def _table(c, N: int, B: int = 0) -> tuple:
     B.  The entries are normed or packed only when T or P must grow, so a
     call that the slot already covers computes nothing."""
     global _last_table
+    cells = (N + 1) * (N + 2) // 2
+    if cells > MAX_TABLE_CELLS:
+        raise ValueError(
+            f"the closed form would build a table of {cells} cells, more than "
+            f"MAX_TABLE_CELLS = {MAX_TABLE_CELLS}"
+        )
     key = c, tuple(map(type, c))
     last = _last_table
     if last is None or last[0] != key:
@@ -274,7 +286,9 @@ def closed_row(spec: BellSequenceSpec, r: int, indices) -> list:
     one table between them, not one each.  One slot at most is kept, up to
     the largest N asked of its c; it is replaced, never changed, so threads
     may share it.  With Polynomial entries the slot holds the norm table and
-    the packed table with its B; the sums are unpacked with that B.
+    the packed table with its B; the sums are unpacked with that B.  A table
+    of more than MAX_TABLE_CELLS cells is refused, by _table, before it is
+    built, whoever asks: a caller, bell_transform or _functional_ints.
     """
     if not indices:
         # no table either, so the kept slot of another c stays
@@ -395,20 +409,13 @@ def bell_transform(spec: BellSequenceSpec, N: int) -> SequenceWindow:
     """
     if N < 0:
         raise ValueError("N must be non-negative")
-    if uses_closed_row(spec, N):
+    if spec.ring == "polynomial" and not {
+            spec.a * j + spec.b for j, cj in enumerate(spec.c[:N], start=1) if cj} <= {0, 1}:
         values = closed_row(spec, 1, range(N + 1))
     else:
         E, B, z, typed = _functional_ints(spec, N)
         values = [_unpack(z_m, B if t else 0, E**m) for m, (z_m, t) in enumerate(zip(z, typed))]
     return SequenceWindow(tuple(values), spec)
-
-
-def uses_closed_row(spec: BellSequenceSpec, N: int) -> bool:
-    """Whether :func:`bell_transform` takes y_0..y_N from :func:`closed_row`,
-    and so builds its table to N: c has a Polynomial entry, and some nonzero
-    c_j, j <= N, has alpha = a*j + b outside {0, 1}."""
-    return spec.ring == "polynomial" and not {
-        spec.a * j + spec.b for j, cj in enumerate(spec.c[:N], start=1) if cj} <= {0, 1}
 
 
 def bell_transform_rewritten(spec: BellSequenceSpec, N: int) -> SequenceWindow:

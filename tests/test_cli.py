@@ -173,7 +173,7 @@ class TestUsageErrors:
             ("seq", "--preset", "catalan", "--n", "99999999999999999999"),
             ("bell", "--n", "99999999999999999999", "--k", "1", "--symbolic"),
             # requests that would allocate step by step, refused by their
-            # price: the closed form's table, and the factorials to n!
+            # price: the closed form's table, and n for bell
             ("conv", "--preset", "catalan", "--r", "1", "--n", "100000000000", "--closed-only"),
             ("seq", "--a", "1", "--b", "1", "--c", "1+x", "--n", "100000000000"),
             ("bell", "--n", "100000000000", "--k", "100000000000", "--x", "1"),
@@ -193,6 +193,9 @@ class TestUsageErrors:
             ("conv", "--preset", "catalan", "--r", "2", "--n", "3", "--check", "--closed-only"),
             ("conv", "--preset", "catalan", "--r", "2", "--n", "3", "--closed-only", "--check"),
             ("seq", "--preset", "catalan", "--n", "3", "conv"),
+            # a linear recurrence whose constants are typed by the closed form,
+            # whose table to 1500 is priced like any other
+            ("seq", "--a", "0", "--b", "1", "--c", "1,0x+1", "--n", "1500"),
         ],
     )
     def test_exit_code_2(self, argv):
@@ -202,6 +205,14 @@ class TestUsageErrors:
         lines = result.stderr.splitlines()
         assert sum("error:" in line for line in lines) == 1
         assert sum(line.startswith("usage:") for line in lines) == 1
+
+    def test_check_refused_before_any_output(self):
+        # the oracle's 1200 parts pass, the closed side's table does not: it is
+        # priced at the last index, before the window and the first row
+        result = run_subprocess("conv", "--preset", "catalan", "--r", "1", "--n", "1200", "--check")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "MAX_TABLE_CELLS" in result.stderr
 
     def test_bell_refused_by_a_lower_bound(self):
         result = run_subprocess("bell", "--n", "20000", "--k", "10000", "--symbolic")
@@ -640,10 +651,12 @@ class TestBellCommand:
         assert json.loads(out) == {"kind": "bellpoly", "n": 3, "k": 2, "value": "12x"}
 
     def test_deep_symbolic(self):
-        # pi(1200, 1) is searched over n - k + 1 = 1200 positions
-        result = run_subprocess("bell", "--n", "1200", "--k", "1", "--symbolic")
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "x1200"
+        # pi(n, 1) is searched over n - k + 1 = n positions; its one term's
+        # coefficient is binom(n, n) for the class of size n, with no n!
+        for n in (1200, 1000000):
+            result = run_subprocess("bell", "--n", str(n), "--k", "1", "--symbolic")
+            assert result.returncode == 0, result.stderr
+            assert result.stdout.strip() == f"x{n}"
 
     def test_deep_symbolic_large_coefficients(self):
         # p(1500, 1460) = p(40) terms of 41 exponents; the first has 1459 parts

@@ -275,6 +275,21 @@ def test_empty_row_keeps_the_slot():
     assert seq._last_table is kept and len(kept[4]) == 200
 
 
+@pytest.mark.parametrize("build", [
+    lambda: closed_row(preset("catalan")[0], 1, (1094,)),
+    # the window is a linear recurrence, but its constants are typed by
+    # closed_row, whose table to 1094 is priced the same
+    lambda: bell_transform(BellSequenceSpec(0, 1, (1, Polynomial((1,)))), 1094),
+], ids=["closed_row", "type_fallback"])
+def test_table_past_the_bound_is_refused_unbuilt(build):
+    # 1095 * 1096 / 2 = 600,060 cells, just past MAX_TABLE_CELLS; the slot stays
+    closed_row(preset("catalan")[0], 1, range(20))
+    kept = seq._last_table
+    with pytest.raises(ValueError, match="MAX_TABLE_CELLS = 600000"):
+        build()
+    assert seq._last_table is kept
+
+
 def test_warm_slot_packs_nothing(monkeypatch):
     # per-index calls whose columns and width the kept slot already holds
     # build no entry list, so no entry is normed or packed again
