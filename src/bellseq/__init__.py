@@ -11,7 +11,7 @@ from .seq import *
 # of its names (PEP 562): a request that never convolves does not load it
 _CONV_NAMES = ("ConvolutionReport", "LemmaGuardError", "SPECIALIZED_FAMILIES", "compositions",
                "convolution_oracle", "convolution_closed", "convolution_closed_specialized",
-               "shifted_convolution_closed", "lemma_identity_check", "verify_theorem")
+               "shifted_convolution_closed", "lemma_identity_check", "check_row", "verify_theorem")
 
 __all__ = ring.__all__ + bellpoly.__all__ + seq.__all__ + list(_CONV_NAMES)
 

@@ -16,11 +16,14 @@ usage and exits 0.
 
 Every usage error, whether the parser or the library rejects the request,
 exits 2 with one ``usage:`` line and one ``error:`` line on stderr; so does a
-``conv --check`` request whose oracle would build more than
-MAX_ORACLE_PARTS composition parts, a ``bell`` request whose B_{n,k} has
-more than MAX_BELL_EXPONENTS exponents over all its terms, or an n + 1
-above it, and a request whose memory cannot be allocated; a closed form's
-table past ``seq.MAX_TABLE_CELLS`` is refused where :mod:`.seq` builds it.
+``bell`` request whose B_{n,k} has more than MAX_BELL_EXPONENTS exponents
+over all its terms, or an n + 1 above it, and a request whose memory cannot
+be allocated.  The library prices the rest where it does the work: a
+``conv --check`` row past ``conv.MAX_ORACLE_PARTS``, a closed form's table
+past ``seq.MAX_TABLE_CELLS``, Miller rows past ``seq.MAX_MILLER_PRODUCTS``,
+and a value longer than the interpreter's digit limit for int-to-text
+conversion.  Every value is formatted before the first line is written, so
+such a request leaves stdout empty.
 A reader that closes stdout early ends the command quietly, with exit 0.
 
 ``json`` and :mod:`.conv` are imported by the code that uses them, so a
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 import os
 import sys
-from math import comb
 from types import SimpleNamespace
 
 from . import seq
@@ -39,11 +41,6 @@ from .bellpoly import bell_eval, bell_eval_recurrence, bell_symbolic
 from .ring import format_element, parse_element
 from .seq import PRESET_NAMES, BellSequenceSpec, RecurrenceSpec
 
-# largest oracle cost `conv --check` accepts, in composition parts (each
-# visit builds and multiplies out an r-tuple, one lookup and one int product
-# a part): well under a second of work for int, small rational and
-# low-degree Polynomial values, far more for wide Polynomial ones (README)
-MAX_ORACLE_PARTS = 2 * 10**6
 # largest enumeration `bell` accepts, in exponents written (p(n, k) terms of
 # n - k + 1 exponents each): about a second of work; n + 1 is held to the
 # same bound, for the multiplicities and powers up to k <= n that a term takes
@@ -150,8 +147,9 @@ def _cmd_seq(args, emitter) -> int:
     N = args.n + max(0, -offset) if args.apply_offset else args.n
     window = seq.bell_transform(spec, N)
     values = window.shifted(offset, args.n + 1) if args.apply_offset else window.values
-    for i, v in enumerate(values):
-        text = format_element(v)
+    # every value is formatted before the first is written: one past the
+    # interpreter's digit limit is refused with no output
+    for i, text in enumerate(list(map(format_element, values))):
         emitter.emit({"kind": "sequence", "n": i, "value": text}, text)
     return 0
 
@@ -169,48 +167,22 @@ def _cmd_conv(args, emitter) -> int:
         ms = range(1 - args.delta * args.r, args.n + 1 - args.delta * args.r)
         row = seq.closed_row(spec, args.r, range(max(ms.start, 0), ms.stop))
         values = [0] * (len(ms) - len(row)) + row
-        for n, v in enumerate(values, start=1):
-            text = format_element(v)
+        for n, text in enumerate(list(map(format_element, values)), start=1):
             emitter.emit(
                 {"kind": "convolution", "r": args.r, "n": n, "value": text},
                 f"r={args.r} n={n} {text}",
             )
         return 0
 
-    # r parts for each of the C(N + r, r) - 1 compositions over n = 1..N;
-    # that is at least N * r^2, which spares computing a huge binomial
-    parts = args.n * args.r**2
-    if parts <= MAX_ORACLE_PARTS:
-        parts = args.r * (comb(args.n + args.r, args.r) - 1)
-    if parts > MAX_ORACLE_PARTS:
-        raise ValueError(
-            f"--check would build at least {parts} composition parts, more than "
-            f"MAX_ORACLE_PARTS = {MAX_ORACLE_PARTS}; use --closed-only"
-        )
-    # the closed side stays one library call per index, so that a patched
-    # conv.convolution_closed is what the check compares with
-    def closed(r, n):
-        if args.delta > 0:
-            return conv.shifted_convolution_closed(spec.c, r, n, args.delta)
-        return conv.convolution_closed(spec, r, n)
-
-    # the last index first: it builds the largest table, so a request the
-    # library refuses is refused before the window and before any output
-    last = closed(args.r, args.n) if args.n else None
-    window = seq.bell_transform(spec, args.n)
-    all_matched = True
-    for n in range(1, args.n + 1):
-        lhs = conv.convolution_oracle(window, args.r, n, args.delta)
-        rhs = last if n == args.n else closed(args.r, n)
-        report = conv.ConvolutionReport(args.r, n, lhs, rhs)
-        all_matched &= report.matched
-        rec = report.to_record()
+    # every report is formatted before the first is written, as in _cmd_seq
+    records = [report.to_record() for report in conv.check_row(spec, args.r, args.n, args.delta)]
+    for rec in records:
         emitter.emit(
             rec,
             f"r={rec['r']} n={rec['n']} lhs={rec['lhs']} rhs={rec['rhs']} "
             + ("ok" if rec["matched"] else "MISMATCH"),
         )
-    return 0 if all_matched else 1
+    return 0 if all(rec["matched"] for rec in records) else 1
 
 
 def _cmd_decompose(args, emitter) -> int:

@@ -9,6 +9,8 @@ for n >= 1.  This module implements the brute-force composition oracle, the
 closed form, its delta-shifted variant for the a=0, b=1 family, specialized
 per-family formulas coded independently of the general one, and a numeric
 checker for the two-index Bell convolution identity they all rest on.
+:func:`check_row` pairs the oracle with the closed form index by index, at
+a price, for ``conv --check`` and :func:`verify_theorem` alike.
 
 Both closed forms are calls into the power-series kernel of :mod:`.seq`
 (:func:`~bellseq.seq.closed_row`); only the oracle, the specialized formulas
@@ -24,6 +26,7 @@ so a part costs one lookup and one int product.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .bellpoly import bell_closed_three_term, bell_eval
 from .ring import (Polynomial, Record, RingElement, X, _norm, _pack, _scale, _unpack,
@@ -40,8 +43,15 @@ __all__ = [
     "convolution_closed_specialized",
     "shifted_convolution_closed",
     "lemma_identity_check",
+    "check_row",
     "verify_theorem",
 ]
+
+# largest oracle cost a check row accepts, in composition parts (each visit
+# builds and multiplies out an r-tuple, one lookup and one int product a
+# part): well under a second of work for int, small rational and low-degree
+# Polynomial values, far more for wide Polynomial ones (README)
+MAX_ORACLE_PARTS = 2 * 10**6
 
 
 class LemmaGuardError(ValueError):
@@ -340,14 +350,39 @@ def lemma_identity_check(alpha_coeffs, tau: int, n: int, k: int, xs) -> bool:
     return lhs == rhs
 
 
+def check_row(spec: BellSequenceSpec, r: int, N: int, delta: int = 0):
+    """Oracle-vs-closed-form reports at (r, n), n = 1..N, one at a time; for
+    delta > 0 (the a=0, b=1 family only) the closed side is the shifted form.
+    A row whose oracle would build more than MAX_ORACLE_PARTS composition
+    parts, or whose closed side at N (the largest table) the library refuses,
+    is refused at the first next(), before the window and any report.  The
+    closed side is one call per index, to the function bound in this module."""
+    # r parts for each of the C(N + r, r) - 1 compositions over n = 1..N;
+    # that is at least N * r^2, which spares computing a huge binomial
+    parts = N * r**2
+    if parts <= MAX_ORACLE_PARTS:
+        parts = r * (comb(N + r, r) - 1)
+    if parts > MAX_ORACLE_PARTS:
+        raise ValueError(
+            f"the oracle would build at least {parts} composition parts, more than "
+            f"MAX_ORACLE_PARTS = {MAX_ORACLE_PARTS}; use --closed-only"
+        )
+
+    def closed(n):
+        if delta > 0:
+            return shifted_convolution_closed(spec.c, r, n, delta)
+        return convolution_closed(spec, r, n)
+
+    last = closed(N) if N else None
+    window = bell_transform(spec, N)
+    for n in range(1, N + 1):
+        lhs = convolution_oracle(window, r, n, delta)
+        yield ConvolutionReport(r, n, lhs, last if n == N else closed(n))
+
+
 def verify_theorem(spec: BellSequenceSpec, r_max: int, n_max: int) -> list:
-    """Oracle-vs-closed-form reports for every (r, n) in [1, r_max] x [1, n_max]."""
+    """The reports of :func:`check_row` for every (r, n) in [1, r_max] x
+    [1, n_max], r outermost, each row priced as one."""
     if r_max < 1 or n_max < 1:
         raise ValueError("r_max and n_max must be at least 1")
-    window = bell_transform(spec, n_max)
-    indices = range(1, n_max + 1)
-    return [
-        ConvolutionReport(r, n, convolution_oracle(window, r, n), rhs)
-        for r in range(1, r_max + 1)
-        for n, rhs in zip(indices, closed_row(spec, r, indices))
-    ]
+    return [report for r in range(1, r_max + 1) for report in check_row(spec, r, n_max)]

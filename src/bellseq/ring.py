@@ -14,6 +14,7 @@ x = 2^B, Kronecker substitution), :func:`_norm` and :func:`_unpack`.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import comb, lcm
 from typing import Iterable, Union
@@ -334,8 +335,19 @@ def generalized_binomial(t: int, k: int) -> int:
 
 def format_element(value: RingElement) -> str:
     """Canonical text form: ``p/q`` for rationals (``/q`` omitted when 1),
-    ascending powers of ``x`` for polynomials, e.g. ``1+4x`` or ``3/2x^2``."""
-    return str(normalized(value))
+    ascending powers of ``x`` for polynomials, e.g. ``1+4x`` or ``3/2x^2``.
+
+    An int with more digits than the interpreter converts to text
+    (``sys.get_int_max_str_digits()``, where there is such a limit) raises
+    ValueError naming the limit; it is not lifted, since CPython converts an
+    int to text in time quadratic in its digits."""
+    try:
+        return str(normalized(value))
+    except ValueError:
+        raise ValueError(
+            f"a value has more than {sys.get_int_max_str_digits()} digits, the limit for "
+            f"converting an int to text (sys.get_int_max_str_digits())"
+        ) from None
 
 
 # one term: sign, numerator, denominator, x power, exponent; "*" only before x

@@ -321,6 +321,13 @@ def closed_row(spec: BellSequenceSpec, r: int, indices) -> list:
     return values
 
 
+# largest Miller work _solve accepts, in products: N(N + 1)/2 for each row
+# it extends, and the ints grow with N, so catalan at N = 1999 (one row,
+# 1,999,000 products) takes 4-5 s as a subprocess, no longer than the
+# largest table MAX_TABLE_CELLS accepts (README)
+MAX_MILLER_PRODUCTS = 2 * 10**6
+
+
 def _solve(spec: BellSequenceSpec, N: int, E: int, terms) -> list:
     """z_0..z_N of z = 1 + sum_j v_j E^(j-1) t^j z^(a*j + b), terms the pairs
     (j, v_j) of ints, ascending in j: with v_j = E c_j this is y(E t), so
@@ -328,7 +335,15 @@ def _solve(spec: BellSequenceSpec, N: int, E: int, terms) -> list:
     alpha = a*j + b, the row P = z^alpha: alpha = 0 is the series 1, alpha = 1
     is z itself, and every other row is extended by Miller's recurrence
     m P_m = sum_{i=1..m} ((alpha+1) i - m) z_i P_(m-i), exact in ints as z_0 = 1.
+    More than MAX_MILLER_PRODUCTS products over those rows are refused
+    before anything is built.
     """
+    products = len({spec.a * j + spec.b for j, _ in terms} - {0, 1}) * N * (N + 1) // 2
+    if products > MAX_MILLER_PRODUCTS:
+        raise ValueError(
+            f"the functional equation would take {products} products in its power rows, "
+            f"more than MAX_MILLER_PRODUCTS = {MAX_MILLER_PRODUCTS}"
+        )
     z = [1]
     powers = {0: [1] + [0] * N, 1: z}
     terms = [(j, v * E ** (j - 1), powers.setdefault(spec.a * j + spec.b, [1])) for j, v in terms]
@@ -373,9 +388,13 @@ def _functional_ints(spec: BellSequenceSpec, N: int, lambdas=()) -> tuple:
     from p on a value that is not constant is a Polynomial.  closed_row types
     a constant by its cells T[m][k], which can cancel, so a constant is one
     when a cell that no cancellation reaches has a nonzero weight, T[m][m] =
-    c_1^m or T[m][1] = c_m with c_1 or c_m a Polynomial; otherwise it takes
-    the type closed_row gives it.  A packed z_m is a constant exactly when it
-    lies in [-2^(B-1), 2^(B-1)), so no value is decoded here.
+    c_1^m or T[m][1] = c_m with c_1 or c_m a Polynomial.  For a = 0, b = 1
+    with every coefficient of every entry of one sign no cell can cancel and
+    every weight is nonzero, so any other constant y_m is a Polynomial
+    exactly when m - j has a composition into parts with c_j != 0 for some
+    Polynomial c_j, one O(N d) pass; otherwise it takes the type closed_row
+    gives it.  A packed z_m is a constant exactly when it lies in
+    [-2^(B-1), 2^(B-1)), so no value is decoded here.
     """
     E, entries = _scaled(spec.c[:N])
     poly = [j for j, e in entries if isinstance(e, Polynomial)]
@@ -391,8 +410,17 @@ def _functional_ints(spec: BellSequenceSpec, N: int, lambdas=()) -> tuple:
     # T[m][1] = c_m, and T[m][m] = c_1^m with weight binom((a+b) m, m-1)
     unresolved = [m for m, z_m in enumerate(z) if typed[m] and -half <= z_m < half and not (
         m in poly or (poly[0] == 1 and generalized_binomial((spec.a + spec.b) * m, m - 1)))]
-    for m, closed in zip(unresolved, closed_row(spec, 1, unresolved)):
-        typed[m] = isinstance(closed, Polynomial)
+    if unresolved and spec.a == 0 and spec.b == 1 and len(
+            {v > 0 for _, e in entries for v in getattr(e, "coefficients", (e,)) if v}) == 1:
+        # reached[m]: m has a composition into parts j with c_j != 0
+        reached = [True]
+        for m in range(1, unresolved[-1] + 1):
+            reached.append(any(reached[m - j] for j, _ in entries if j <= m))
+        types = [any(reached[m - j] for j in poly if j <= m) for m in unresolved]
+    else:
+        types = [isinstance(v, Polynomial) for v in closed_row(spec, 1, unresolved)]
+    for m, t in zip(unresolved, types):
+        typed[m] = t
     return E, B, z, typed
 
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
+from fractions import Fraction
 from math import comb
 from types import SimpleNamespace
 
@@ -12,9 +13,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bellseq import cli
-from bellseq.conv import shifted_convolution_closed
+from bellseq.conv import check_row, shifted_convolution_closed
 from bellseq.ring import Polynomial, format_element, parse_element
-from bellseq.seq import bell_transform, preset
+from bellseq.seq import BellSequenceSpec, bell_transform, preset
 
 from _oracles import (
     build_parser,
@@ -90,6 +91,13 @@ class TestSeqCommand:
         assert spaced == joined == (0, "\n".join(expected) + "\n")
 
 
+    def test_deep_one_sign_recurrence(self):
+        # y_n = F_(n+1), its constants typed by reachability with no table, so
+        # past the table's bound of N = 1093 too
+        result = run_subprocess("seq", "--a", "0", "--b", "1", "--c", "1,0x+1", "--n", "1500")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == list(map(str, fibonacci_list(1501)[1:]))
+
     def test_deep_jacobsthal(self):
         # y_n = J_(n+1), each a Polynomial, the constant y_0 and y_1 included
         result = run_subprocess("seq", "--preset", "jacobsthal", "--n", "300")
@@ -164,17 +172,19 @@ class TestUsageErrors:
             # lists longer than CPython allows: MemoryError before any memory
             # is touched, in parsing c, in the window, and in the sum
             ("seq", "--a", "1", "--b", "0", "--c", "x^2000000000000000000", "--n", "2"),
-            ("seq", "--preset", "catalan", "--n", "2000000000000000000"),
             ("decompose", "--coeffs", "1,1", "--init", "0,1", "--n", "2000000000000000000"),
             ("bell", "--n", "3", "--k", "1", "--x", "x^2000000000000000000,1,1"),
             # lists and exponents past sys.maxsize, which CPython refuses with
             # OverflowError
             ("seq", "--a", "1", "--b", "0", "--c", "x^99999999999999999999", "--n", "2"),
-            ("seq", "--preset", "catalan", "--n", "99999999999999999999"),
             ("bell", "--n", "99999999999999999999", "--k", "1", "--symbolic"),
             # requests that would allocate step by step, refused by their
-            # price: the closed form's table, and n for bell
+            # price: the closed form's table, the functional equation's power
+            # rows (before any list of n values is asked for), and n for bell
             ("conv", "--preset", "catalan", "--r", "1", "--n", "100000000000", "--closed-only"),
+            ("seq", "--preset", "catalan", "--n", "6000"),
+            ("seq", "--preset", "catalan", "--n", "2000000000000000000"),
+            ("seq", "--preset", "catalan", "--n", "99999999999999999999"),
             ("seq", "--a", "1", "--b", "1", "--c", "1+x", "--n", "100000000000"),
             ("bell", "--n", "100000000000", "--k", "100000000000", "--x", "1"),
             # refused by a lower bound on p(n, k), before the partitions are
@@ -194,8 +204,9 @@ class TestUsageErrors:
             ("conv", "--preset", "catalan", "--r", "2", "--n", "3", "--closed-only", "--check"),
             ("seq", "--preset", "catalan", "--n", "3", "conv"),
             # a linear recurrence whose constants are typed by the closed form,
-            # whose table to 1500 is priced like any other
-            ("seq", "--a", "0", "--b", "1", "--c", "1,0x+1", "--n", "1500"),
+            # since its cells can cancel, and whose table to 1500 is priced
+            # like any other
+            ("seq", "--a", "0", "--b", "1", "--c", "1,0x-1", "--n", "1500"),
         ],
     )
     def test_exit_code_2(self, argv):
@@ -213,6 +224,18 @@ class TestUsageErrors:
         assert result.returncode == 2
         assert result.stdout == ""
         assert "MAX_TABLE_CELLS" in result.stderr
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this interpreter converts ints of any length to text")
+    @pytest.mark.parametrize("argv", [
+        ("seq", "--preset", "fibonacci", "--n", "30000"),
+        ("seq", "--a", "0", "--b", "1", "--c", "99999999999999999999", "--n", "300"),
+    ], ids=["fibonacci", "big_coefficient"])
+    def test_value_past_the_digit_limit_is_refused_before_any_output(self, argv):
+        result = run_subprocess(*argv)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert f"more than {sys.get_int_max_str_digits()} digits" in result.stderr
 
     def test_bell_refused_by_a_lower_bound(self):
         result = run_subprocess("bell", "--n", "20000", "--k", "10000", "--symbolic")
@@ -548,6 +571,20 @@ class TestConvCommand:
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines() == [
             f"r={r} n={n} lhs={expected(n)} rhs={expected(n)} ok" for n in range(1, n_max + 1)
+        ]
+
+    @pytest.mark.parametrize("argv, spec, r, n_max, delta", [
+        (("--preset", "jacobsthal"), preset("jacobsthal")[0], 3, 9, 0),
+        (("--a", "1", "--b", "-1", "--c", "1/2,-2/3,3"),
+         BellSequenceSpec(1, -1, (Fraction(1, 2), Fraction(-2, 3), 3)), 3, 8, 0),
+        (("--preset", "fibonacci"), preset("fibonacci")[0], 2, 10, 1),
+    ], ids=["jacobsthal", "rational", "fibonacci_shifted"])
+    def test_check_renders_the_library_row(self, capsys, argv, spec, r, n_max, delta):
+        code, out = run_cli(capsys, "conv", *argv, "--r", str(r), "--n", str(n_max),
+                            "--delta", str(delta), "--format", "json")
+        assert code == 0
+        assert [json.loads(line) for line in out.splitlines()] == [
+            rep.to_record() for rep in check_row(spec, r, n_max, delta)
         ]
 
     def test_mismatch_exits_1(self, capsys, monkeypatch):

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bellseq
-from bellseq import conv
+from bellseq import conv, seq
 from bellseq.conv import (
     ConvolutionReport,
     LemmaGuardError,
+    check_row,
     compositions,
     convolution_closed,
     convolution_closed_specialized,
@@ -19,7 +20,7 @@ from bellseq.conv import (
     verify_theorem,
 )
 from bellseq.ring import Polynomial, X, generalized_binomial
-from bellseq.seq import BellSequenceSpec, SequenceWindow, bell_transform, preset
+from bellseq.seq import BellSequenceSpec, SequenceWindow, bell_transform, closed_row, preset
 
 from _oracles import (
     compositions_bruteforce,
@@ -481,3 +482,22 @@ class TestVerifyTheorem:
         spec, _ = preset("catalan")
         with pytest.raises(ValueError):
             verify_theorem(spec, 0, 3)
+
+    @pytest.mark.parametrize("name", ["catalan", "jacobsthal", "motzkin"])
+    def test_grid_is_the_check_rows(self, name):
+        spec, _ = preset(name)
+        assert verify_theorem(spec, 4, 7) == [
+            rep for r in range(1, 5) for rep in check_row(spec, r, 7)
+        ]
+
+    def test_row_past_the_price_is_refused_unbuilt(self):
+        # catalan r = 30, n = 60 is refused on its oracle's parts at the first
+        # next(), before the closed side builds or replaces any table
+        closed_row(preset("motzkin")[0], 1, range(5))
+        kept = seq._last_table
+        row = check_row(preset("catalan")[0], 30, 60)
+        with pytest.raises(ValueError, match="MAX_ORACLE_PARTS"):
+            next(row)
+        assert seq._last_table is kept
+        with pytest.raises(ValueError, match="MAX_ORACLE_PARTS"):
+            verify_theorem(preset("catalan")[0], 30, 60)

@@ -164,6 +164,33 @@ def test_polynomial_window_equals_kernel(ab_c, N):
     assert_canonical(*values)
 
 
+non_negative = st.one_of(st.integers(0, 3),
+                        st.fractions(min_value=0, max_value=3, max_denominator=12))
+# a = 0, b = 1 and every coefficient of every entry of one sign, constant
+# Polynomial entries included
+one_sign_specs = st.tuples(st.sampled_from((1, -1)), st.lists(st.one_of(
+    non_negative, non_negative.map(lambda v: Polynomial((v,))),
+    st.lists(non_negative, min_size=1, max_size=3).map(Polynomial),
+), max_size=5)).map(lambda sc: BellSequenceSpec(0, 1, tuple(sc[0] * v for v in sc[1])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_sign_specs, st.integers(0, 30))
+@example(BellSequenceSpec(0, 1, (1, Polynomial((1,)))), 30)
+# y_m is a Polynomial where m - 3 is a sum of 2s and 3s, so not y_4 = 1
+@example(BellSequenceSpec(0, 1, (0, 1, Polynomial((2,)))), 12)
+def test_one_sign_window_is_typed_without_a_table(spec, N):
+    # no cell can cancel, so a constant is typed by which m reach a
+    # Polynomial entry, with no table built; closed_row agrees
+    closed_row(preset("catalan")[0], 1, range(3))
+    kept = seq._last_table
+    values = list(bell_transform(spec, N).values)
+    assert seq._last_table is kept
+    expected = closed_row(spec, 1, range(N + 1))
+    assert values == expected
+    assert [type(v) for v in values] == [type(e) for e in expected]
+
+
 def test_linear_recurrence_window_keeps_the_slot():
     # a nonzero Polynomial c_1 types every constant value without a table, so
     # the windows neither build nor replace the kept slot
@@ -277,9 +304,9 @@ def test_empty_row_keeps_the_slot():
 
 @pytest.mark.parametrize("build", [
     lambda: closed_row(preset("catalan")[0], 1, (1094,)),
-    # the window is a linear recurrence, but its constants are typed by
-    # closed_row, whose table to 1094 is priced the same
-    lambda: bell_transform(BellSequenceSpec(0, 1, (1, Polynomial((1,)))), 1094),
+    # the window is a linear recurrence, but its cells can cancel, so its
+    # constants are typed by closed_row, whose table to 1094 is priced the same
+    lambda: bell_transform(BellSequenceSpec(0, 1, (1, Polynomial((-1,)))), 1094),
 ], ids=["closed_row", "type_fallback"])
 def test_table_past_the_bound_is_refused_unbuilt(build):
     # 1095 * 1096 / 2 = 600,060 cells, just past MAX_TABLE_CELLS; the slot stays
