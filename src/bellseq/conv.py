@@ -130,8 +130,8 @@ def convolution_oracle(window: SequenceWindow, r: int, n: int, delta: int = 0) -
     delta, and past y_M).  A product then costs one lookup and one int
     product per part: it stops at its first 0 factor when the list holds a
     0, and multiplies all r factors with no test otherwise.
-    The value is a Polynomial exactly when some product with every part at
-    least delta has a Polynomial factor, as in Polynomial arithmetic:
+    Decoded with that B, the value is a Polynomial exactly when its degree
+    is at least 1, as every value of the exact-int layer is:
 
     >>> from bellseq.seq import preset
     >>> convolution_oracle(bell_transform(preset("jacobsthal")[0], 5), 2, 5)

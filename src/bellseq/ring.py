@@ -287,22 +287,26 @@ def _norm(entry: RingElement) -> int:
 
 
 def _unpack(value: int, B: int, denominator: int) -> RingElement:
-    """value / denominator in canonical form, denominator > 0: for B = 0 the
-    scalar, an int when the division is exact, else a Fraction; for B > 0
-    the Polynomial packed into value at x = 2^B, each coefficient a balanced
-    base-2^B digit, in [-2^(B-1), 2^(B-1)), divided the same way; every
-    coefficient packed into value must lie in that range.
+    """value / denominator in canonical form, denominator > 0, value read as
+    balanced base-2^B digits, each in [-2^(B-1), 2^(B-1)), and divided the
+    same way: every coefficient packed into value must lie in that range.
+    A value of one digit, one in [-2^(B-1), 2^(B-1)) (B = 0 reads any value
+    as one digit), is the scalar, an int when the division is exact, else a
+    Fraction; any other value has a nonzero top digit, so it is the
+    Polynomial of degree at least 1 packed into it at x = 2^B.
 
     >>> _unpack(_pack(Polynomial((3, -1, 2)), 3), 3, 6)
     Polynomial((Fraction(1, 2), Fraction(-1, 6), Fraction(1, 3)))
+    >>> _unpack(5, 4, 2), _unpack(5 + (1 << 4), 4, 2)
+    (Fraction(5, 2), Polynomial((Fraction(5, 2), Fraction(1, 2))))
     >>> _unpack(-9, 0, 6), _unpack(-12, 0, 6)
     (Fraction(-3, 2), -2)
     """
-    if not B:
+    half = (1 << B) >> 1
+    if not B or -half <= value < half:
         quotient, remainder = divmod(value, denominator)
         return Fraction(value, denominator) if remainder else quotient
     coefficients = []
-    half = 1 << (B - 1)
     mask = (1 << B) - 1
     while value:
         digit = ((value + half) & mask) - half

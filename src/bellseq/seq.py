@@ -37,8 +37,9 @@ its lambdas from the recurrence itself, A(t) (1 - C(t)) mod t^d, and sums
 sum_j lambda_j y_(n-j) in the same ints, the lambdas scaled to ints, so
 its ring products do not grow with N.
 :func:`closed_row` computes every convolution closed form and the other
-windows with Polynomial entries.  Either route makes a value a Polynomial exactly where some nonzero
-cell T[n][k] with a nonzero weight passes through a Polynomial entry.
+windows with Polynomial entries.  Every value either route decodes is a
+Polynomial exactly when its degree is at least 1, and an int or a Fraction
+otherwise, whatever the types of the entries it came from.
 
 In :func:`closed_row`, D, the common denominator of c, makes every D*c_j
 an int or a Polynomial with int coefficients.  Polynomials are packed into
@@ -211,19 +212,20 @@ def _powers(entries, N: int, columns=_UNIT) -> list:
 # seconds (README)
 MAX_TABLE_CELLS = 6 * 10**5
 
-# ((c, the types of its entries), D, entries, poly, T, (B, P)) of the last
-# table, (B, P) its packed table or (0, _UNIT): replaced, never changed
+# (c, D, entries, poly, T, (B, P)) of the last table, (B, P) its packed
+# table or (0, _UNIT): replaced, never changed
 _last_table = None
 
 
 def _table(c, N: int, B: int = 0) -> tuple:
-    """The kept slot (key, D, entries, poly, T, (B', P)) for c: D and entries
-    those of :func:`_scaled` on the whole of c, poly the j with a Polynomial
-    entry, T the columns of :func:`_powers` to N or beyond for the entries,
-    or for their norms ||e_j||_1 when poly is not empty, and P those for the
-    entries packed at x = 2^B'.  The slot is kept from now on: calls with the
-    same c, types included (a constant Polynomial equals its scalar), reuse
-    it, or append the columns past its N, so D never changes for a given c.
+    """The kept slot (c, D, entries, poly, T, (B', P)) for c: D and entries
+    those of :func:`_scaled` on the whole of c, poly whether an entry is a
+    Polynomial, T the columns of :func:`_powers` to N or beyond for the
+    entries, or for their norms ||e_j||_1 when poly, and P those for the
+    entries packed at x = 2^B'.  The slot is kept from now on: calls with an
+    equal c reuse it, or append the columns past its N, so D never changes
+    for a given c.  A constant Polynomial entry equals its scalar, so its c
+    shares the slot of the scalar's c, and either slot gives equal values.
 
     B = 0 extends T.  B > 0 extends P instead, reused whenever B' >= B (a
     larger B' still packs exactly) and otherwise rebuilt at max(B, 2 B'),
@@ -237,12 +239,11 @@ def _table(c, N: int, B: int = 0) -> tuple:
             f"the closed form would build a table of {cells} cells, more than "
             f"MAX_TABLE_CELLS = {MAX_TABLE_CELLS}"
         )
-    key = c, tuple(map(type, c))
     last = _last_table
-    if last is None or last[0] != key:
+    if last is None or last[0] != c:
         D, entries = _scaled(c)
-        poly = [j for j, e in entries if isinstance(e, Polynomial)]
-        last = key, D, entries, poly, _UNIT, (0, _UNIT)
+        poly = any(isinstance(e, Polynomial) for _, e in entries)
+        last = c, D, entries, poly, _UNIT, (0, _UNIT)
     _, D, entries, poly, table, (width, packed) = last
     if not B:
         if len(table) <= N:
@@ -252,7 +253,7 @@ def _table(c, N: int, B: int = 0) -> tuple:
             width, packed = max(B, 2 * width), _UNIT
         if len(packed) <= N:
             packed = _powers([(j, _pack(e, width)) for j, e in entries], N, packed)
-    last = _last_table = key, D, entries, poly, table, (width, packed)
+    last = _last_table = c, D, entries, poly, table, (width, packed)
     return last
 
 
@@ -279,7 +280,8 @@ def closed_row(spec: BellSequenceSpec, r: int, indices) -> list:
     each value is the int sum_k r * binom * (L/k) * D^(n-k) * T[n][k],
     unpacked when c has Polynomial entries and divided once by L * D^n.  The
     norm pass bounds every coefficient of every sum, so B = bits(bound) + 1,
-    the +1 for the sign, keeps the packing exact.
+    the +1 for the sign, keeps the packing exact, and each sum is decoded
+    with that B: a Polynomial exactly when its degree is at least 1.
 
     The table depends on c alone, so the last one is kept for both rings
     (see :func:`_table`): calls that walk n one index at a time, or r, build
@@ -288,7 +290,7 @@ def closed_row(spec: BellSequenceSpec, r: int, indices) -> list:
     may share it.  With Polynomial entries the slot holds the norm table and
     the packed table with its B; the sums are unpacked with that B.  A table
     of more than MAX_TABLE_CELLS cells is refused, by _table, before it is
-    built, whoever asks: a caller, bell_transform or _functional_ints.
+    built, whoever asks: a caller or bell_transform.
     """
     if not indices:
         # no table either, so the kept slot of another c stays
@@ -298,8 +300,7 @@ def closed_row(spec: BellSequenceSpec, r: int, indices) -> list:
     weights = [_column(spec, r, n, D, table[n]) for n in indices]
     B = 0
     if poly:
-        norms = table
-        bound = max((sum(abs(w) * norms[n][k] for k, w in ws)
+        bound = max((sum(abs(w) * table[n][k] for k, w in ws)
                      for n, (_, ws) in zip(indices, weights)))
         B, table = _table(spec.c, N, bound.bit_length() + 1)[5]
     values = []
@@ -311,13 +312,7 @@ def closed_row(spec: BellSequenceSpec, r: int, indices) -> list:
         total = 0
         for k, w in ws:
             total += w * column[k]
-        # a Polynomial, as Polynomial arithmetic would give it, exactly when
-        # some nonzero term of the sum has a Polynomial factor c_j (B bounds
-        # the coefficients of every T[n][k] with a weight, so its packed
-        # value is 0 only when it is)
-        typed = poly and any(column[k] and any(norms[n - j][k - 1] for j in poly if j <= n - k + 1)
-                             for k, _ in ws)
-        values.append(_unpack(total, B if typed else 0, L * D**n))
+        values.append(_unpack(total, B, L * D**n))
     return values
 
 
@@ -369,11 +364,12 @@ def _solve(spec: BellSequenceSpec, N: int, E: int, terms) -> list:
 
 
 def _functional_ints(spec: BellSequenceSpec, N: int, lambdas=()) -> tuple:
-    """(E, B, z, typed) for y_0..y_N from y = 1 + sum_j c_j t^j y^(a*j + b),
-    for rational c, and for Polynomial entries when every alpha = a*j + b of
-    a nonzero c_j is 0 or 1: E that of :func:`_scaled` on c_1..c_N, z_m =
+    """(E, B, z) for y_0..y_N from y = 1 + sum_j c_j t^j y^(a*j + b), for
+    rational c, and for Polynomial entries when every alpha = a*j + b of a
+    nonzero c_j is 0 or 1: E that of :func:`_scaled` on c_1..c_N, and z_m =
     E^m y_m from :func:`_solve` as an int, packed at x = 2^B when y has
-    Polynomial entries, and typed[m] whether y_m is a Polynomial.
+    Polynomial entries; B leaves room for the sign of every z_m, so
+    _unpack(z_m, B, E^m) is y_m.
 
     lambdas are ints or int-coefficient Polynomials l_j, j from 0: B leaves
     room for every sum sum_j l_j E^j z_(n-j) packed at x = 2^B, as
@@ -382,46 +378,16 @@ def _functional_ints(spec: BellSequenceSpec, N: int, lambdas=()) -> tuple:
     With Polynomial entries there are no Miller rows, and z is linear in the
     entries: the same recurrence on the norms ||E^j c_j||_1 bounds every
     coefficient of every z_m, so one B serves the row, and it is run again on
-    the entries packed at x = 2^B.  A value is a Polynomial where
-    :func:`closed_row` at r = 1 makes it one.  Below the first index p of a
-    Polynomial entry no composition passes through one, so y_m is a scalar;
-    from p on a value that is not constant is a Polynomial.  closed_row types
-    a constant by its cells T[m][k], which can cancel, so a constant is one
-    when a cell that no cancellation reaches has a nonzero weight, T[m][m] =
-    c_1^m or T[m][1] = c_m with c_1 or c_m a Polynomial.  For a = 0, b = 1
-    with every coefficient of every entry of one sign no cell can cancel and
-    every weight is nonzero, so any other constant y_m is a Polynomial
-    exactly when m - j has a composition into parts with c_j != 0 for some
-    Polynomial c_j, one O(N d) pass; otherwise it takes the type closed_row
-    gives it.  A packed z_m is a constant exactly when it lies in
-    [-2^(B-1), 2^(B-1)), so no value is decoded here.
+    the entries packed at x = 2^B.  No table is built.
     """
     E, entries = _scaled(spec.c[:N])
-    poly = [j for j, e in entries if isinstance(e, Polynomial)]
     room = sum(_norm(v) * E**j for j, v in enumerate(lambdas)).bit_length()
-    if not poly:
+    if not any(isinstance(e, Polynomial) for _, e in entries):
         z = _solve(spec, N, E, entries)
-        return E, max(map(abs, z)).bit_length() + 1 + room, z, [False] * (N + 1)
+        return E, max(map(abs, z)).bit_length() + 1 + room, z
     norms = _solve(spec, N, E, [(j, _norm(e)) for j, e in entries])
     B = max(norms).bit_length() + 1 + room
-    z = _solve(spec, N, E, [(j, _pack(e, B)) for j, e in entries])
-    half = 1 << (B - 1)
-    typed = [m >= poly[0] for m in range(N + 1)]
-    # T[m][1] = c_m, and T[m][m] = c_1^m with weight binom((a+b) m, m-1)
-    unresolved = [m for m, z_m in enumerate(z) if typed[m] and -half <= z_m < half and not (
-        m in poly or (poly[0] == 1 and generalized_binomial((spec.a + spec.b) * m, m - 1)))]
-    if unresolved and spec.a == 0 and spec.b == 1 and len(
-            {v > 0 for _, e in entries for v in getattr(e, "coefficients", (e,)) if v}) == 1:
-        # reached[m]: m has a composition into parts j with c_j != 0
-        reached = [True]
-        for m in range(1, unresolved[-1] + 1):
-            reached.append(any(reached[m - j] for j, _ in entries if j <= m))
-        types = [any(reached[m - j] for j in poly if j <= m) for m in unresolved]
-    else:
-        types = [isinstance(v, Polynomial) for v in closed_row(spec, 1, unresolved)]
-    for m, t in zip(unresolved, types):
-        typed[m] = t
-    return E, B, z, typed
+    return E, B, _solve(spec, N, E, [(j, _pack(e, B)) for j, e in entries])
 
 
 def bell_transform(spec: BellSequenceSpec, N: int) -> SequenceWindow:
@@ -429,11 +395,11 @@ def bell_transform(spec: BellSequenceSpec, N: int) -> SequenceWindow:
     equation for rational c and wherever every alpha = a*j + b of a nonzero
     c_j (j <= N) is 0 or 1, which includes every linear recurrence (a = 0,
     b = 1); from :func:`closed_row` at r = 1 otherwise.  Either way a value is
-    a Polynomial exactly where closed_row makes it one, so the constant y_1
-    of jacobsthal stays a Polynomial:
+    a Polynomial exactly when its degree is at least 1, so the constant y_1
+    of jacobsthal is the int 1:
 
     >>> bell_transform(preset("jacobsthal")[0], 4).values
-    (1, Polynomial((1,)), Polynomial((1, 2)), Polynomial((1, 4)), Polynomial((1, 6, 4)))
+    (1, 1, Polynomial((1, 2)), Polynomial((1, 4)), Polynomial((1, 6, 4)))
     """
     if N < 0:
         raise ValueError("N must be non-negative")
@@ -441,8 +407,8 @@ def bell_transform(spec: BellSequenceSpec, N: int) -> SequenceWindow:
             spec.a * j + spec.b for j, cj in enumerate(spec.c[:N], start=1) if cj} <= {0, 1}:
         values = closed_row(spec, 1, range(N + 1))
     else:
-        E, B, z, typed = _functional_ints(spec, N)
-        values = [_unpack(z_m, B if t else 0, E**m) for m, (z_m, t) in enumerate(zip(z, typed))]
+        E, B, z = _functional_ints(spec, N)
+        values = [_unpack(z_m, B, E**m) for m, z_m in enumerate(z)]
     return SequenceWindow(tuple(values), spec)
 
 
@@ -518,21 +484,20 @@ def decompose(rec: RecurrenceSpec, N: int) -> tuple:
     y is the a=0, b=1 transform of the recurrence coefficients, so
     Y(t) = 1/(1 - C(t)) and the lambdas are the coefficients of
     A(t) (1 - C(t)) mod t^d: lambda_i = a_i - sum_{j=1..i} c_j a_(i-j) in
-    ring arithmetic, a zero Polynomial c_j taken as the int 0, as y takes
-    it, so they equal the triangular solve over y, types included (c =
-    (Polynomial(), -2), a = (2, 0) give (2, 0)).  Returns (lambdas,
-    reconstruction window over 0..N).
+    ring arithmetic, a zero Polynomial c_j taken as the int 0 (c =
+    (Polynomial(), -2), a = (2, 0) give (2, 0)), so they equal, types
+    included, the triangular solve over y_n = sum_j c_j y_(n-j) run in ring
+    arithmetic.  Returns (lambdas, reconstruction window over 0..N).
 
     The window is summed in ints: with z_m = E^m y_m from
     :func:`_functional_ints`, L the lcm of the denominators of the lambdas
     and lambda'_j = L lambda_j E^j, L E^n a_n = sum_{j <= min(n, d-1)}
     lambda'_j z_(n-j), one int per n, decoded once.  The scaled lambdas
     L lambda_j are passed to _functional_ints, whose B then packs every
-    such sum exactly, so z is solved once at that width.  a_n
-    is a Polynomial exactly when some term has a Polynomial factor,
-    lambda_j or y_(n-j), as Polynomial arithmetic gives it, 0 * Polynomial
-    included.  Only the lambdas take ring products, so their number does
-    not grow with N.
+    such sum exactly, so z is solved once at that width, and each sum is
+    decoded with that B: a_n is a Polynomial exactly when its degree is at
+    least 1.  Only the lambdas take ring products, so their number does not
+    grow with N.
     """
     d = rec.order
     if N < d - 1:
@@ -545,16 +510,14 @@ def decompose(rec: RecurrenceSpec, N: int) -> tuple:
             acc = acc - (c[j - 1] or 0) * a[i - j]
         lambdas.append(normalized(acc))
     L, scaled = _scale(lambdas)
-    poly = [isinstance(v, Polynomial) for v in lambdas]
-    E, B, z, typed = _functional_ints(BellSequenceSpec(0, 1, c), N, scaled)
+    E, B, z = _functional_ints(BellSequenceSpec(0, 1, c), N, scaled)
     packed = [_pack(v, B) * E**j for j, v in enumerate(scaled)]
     values = []
     for n in range(N + 1):
-        total, typed_n = 0, False
+        total = 0
         for j, v in enumerate(packed[:n + 1]):
             total += v * z[n - j]
-            typed_n = typed_n or poly[j] or typed[n - j]
-        values.append(_unpack(total, B if typed_n else 0, L * E**n))
+        values.append(_unpack(total, B, L * E**n))
     return tuple(lambdas), SequenceWindow(tuple(values))
 
 

@@ -53,6 +53,12 @@ def is_canonical(value):
     return all(type(v) is int or (type(v) is Fraction and v.denominator > 1) for v in scalars)
 
 
+def typed_by_degree(value):
+    """The type rule of every value the exact-int layer decodes: a Polynomial
+    exactly when its degree is at least 1, else an int or a Fraction."""
+    return not isinstance(value, Polynomial) or value.degree >= 1
+
+
 def stirling2(n_max):
     """Triangle S(n, k) via S(n,k) = k*S(n-1,k) + S(n-1,k-1)."""
     table = [[1]]
@@ -109,6 +115,20 @@ def run_recurrence(coeffs, init, n_max):
     for n in range(d, n_max + 1):
         vals.append(sum(coeffs[i] * vals[n - 1 - i] for i in range(d)))
     return vals[: n_max + 1]
+
+
+def window_by_ring(coeffs, n_max):
+    """y_0..y_n_max of y_n = sum_j c_j y_(n-j), y_0 = 1, in ring arithmetic, a
+    zero c_j skipped: a value is a Polynomial exactly when some term has a
+    Polynomial factor, whatever its degree."""
+    y = [1]
+    for n in range(1, n_max + 1):
+        acc = 0
+        for j, cj in enumerate(coeffs[:n], start=1):
+            if cj:
+                acc = acc + cj * y[n - j]
+        y.append(normalized(acc))
+    return y
 
 
 def decompose_by_ring(initial, y):

@@ -27,6 +27,10 @@ from _oracles import (
 )
 
 
+# y_n = y_(n-1) - y_(n-2) from y_0 = y_1 = 1
+PERIOD_6 = (1, 1, 0, -1, -1, 0)
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     return code, capsys.readouterr().out
@@ -92,11 +96,18 @@ class TestSeqCommand:
 
 
     def test_deep_one_sign_recurrence(self):
-        # y_n = F_(n+1), its constants typed by reachability with no table, so
-        # past the table's bound of N = 1093 too
+        # y_n = F_(n+1), from the recurrence with no table, so past the
+        # table's bound of N = 1093 too
         result = run_subprocess("seq", "--a", "0", "--b", "1", "--c", "1,0x+1", "--n", "1500")
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines() == list(map(str, fibonacci_list(1501)[1:]))
+
+    def test_deep_cancelling_recurrence(self):
+        # y_n = y_(n-1) - y_(n-2), its Polynomial entry a constant and its
+        # terms cancelling, from the recurrence with no table past N = 1093
+        result = run_subprocess("seq", "--a", "0", "--b", "1", "--c", "1,0x-1", "--n", "1500")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [str(PERIOD_6[n % 6]) for n in range(1501)]
 
     def test_deep_jacobsthal(self):
         # y_n = J_(n+1), each a Polynomial, the constant y_0 and y_1 included
@@ -203,10 +214,6 @@ class TestUsageErrors:
             ("conv", "--preset", "catalan", "--r", "2", "--n", "3", "--check", "--closed-only"),
             ("conv", "--preset", "catalan", "--r", "2", "--n", "3", "--closed-only", "--check"),
             ("seq", "--preset", "catalan", "--n", "3", "conv"),
-            # a linear recurrence whose constants are typed by the closed form,
-            # since its cells can cancel, and whose table to 1500 is priced
-            # like any other
-            ("seq", "--a", "0", "--b", "1", "--c", "1,0x-1", "--n", "1500"),
         ],
     )
     def test_exit_code_2(self, argv):
@@ -653,6 +660,15 @@ class TestDecomposeCommand:
         lines = result.stdout.splitlines()
         assert lines[1:] == [
             "sequence: " + ",".join(map(format_element, run_recurrence(coeffs, init, 200))),
+            "recurrence: ok",
+        ]
+    def test_deep_cancelling_recurrence(self):
+        # the seq request of the same recurrence, as a decomposition
+        result = run_subprocess("decompose", "--coeffs", "1,0x-1", "--init", "1,1", "--n", "1500")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            "lambdas: 1,0",
+            "sequence: " + ",".join(str(PERIOD_6[n % 6]) for n in range(1501)),
             "recurrence: ok",
         ]
 

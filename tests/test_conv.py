@@ -28,6 +28,7 @@ from _oracles import (
     is_canonical,
     random_fraction,
     random_ring_spec,
+    typed_by_degree,
 )
 
 
@@ -144,8 +145,10 @@ MONOMIALS = SequenceWindow([-(7**9) * X**i for i in range(8)])
 # n < r*delta: no product survives, and the zero is an int
 @example(SequenceWindow([X, X, X, X]), 2, 3, 2)
 @example(SequenceWindow([X, X, X, X]), 1, 1, 2)
-# a zero Polynomial value makes a Polynomial sum
+# a zero Polynomial value among the factors, and a zero sum
 @example(SequenceWindow([Polynomial(), 1]), 2, 1, 0)
+# Polynomial values whose products cancel to a constant
+@example(SequenceWindow([1 + X, 1 - X]), 2, 1, 0)
 @example(MONOMIALS, 3, 7, 0)
 @example(MONOMIALS, 2, 7, 0)
 @example(MONOMIALS, 4, 7, 1)
@@ -158,14 +161,7 @@ def test_oracle_matches_bruteforce(window, r, n, delta):
     values = window.values
     value = convolution_oracle(window, r, n, delta)
     assert value == convolution_bruteforce(values, r, n, delta)
-    assert is_canonical(value), repr(value)
-    # a Polynomial exactly when some composition whose parts are all at
-    # least delta holds a Polynomial value, as Polynomial arithmetic gives it
-    typed = any(
-        min(comp) >= delta and any(isinstance(values[m - delta], Polynomial) for m in comp)
-        for comp in compositions_bruteforce(n, r)
-    )
-    assert isinstance(value, Polynomial) == typed, (value, typed)
+    assert is_canonical(value) and typed_by_degree(value), repr(value)
 
 
 @pytest.mark.parametrize(
@@ -486,9 +482,18 @@ class TestVerifyTheorem:
     @pytest.mark.parametrize("name", ["catalan", "jacobsthal", "motzkin"])
     def test_grid_is_the_check_rows(self, name):
         spec, _ = preset(name)
-        assert verify_theorem(spec, 4, 7) == [
-            rep for r in range(1, 5) for rep in check_row(spec, r, 7)
-        ]
+        reports = verify_theorem(spec, 4, 7)
+        assert reports == [rep for r in range(1, 5) for rep in check_row(spec, r, 7)]
+        assert all(typed_by_degree(rep.lhs) and typed_by_degree(rep.rhs) for rep in reports)
+
+    @pytest.mark.parametrize("c", [(1, 2 * X), (Polynomial((1,)), Polynomial((-1,)))])
+    def test_shifted_row_is_typed_by_degree(self, c):
+        # delta = 1 on the a=0, b=1 family: y_1 = c_1 is a constant, so both
+        # sides at n = r + 1, r y_1, are too
+        for r in (1, 2, 3):
+            reports = list(check_row(BellSequenceSpec(0, 1, c), r, 8, 1))
+            assert all(rep.matched for rep in reports)
+            assert all(typed_by_degree(rep.lhs) and typed_by_degree(rep.rhs) for rep in reports)
 
     def test_row_past_the_price_is_refused_unbuilt(self):
         # catalan r = 30, n = 60 is refused on its oracle's parts at the first

@@ -45,6 +45,7 @@ from _oracles import (
     power_table,
     rewritten_by_enumeration,
     shifted_by_enumeration,
+    typed_by_degree,
 )
 
 # denominators up to 12, so that the table's scale D is an lcm of coprime ones
@@ -62,9 +63,10 @@ specs = (
 
 def assert_canonical(*values):
     """Every value, and every coefficient of a Polynomial value, is an int or a
-    non-integral Fraction."""
+    non-integral Fraction, and a value is a Polynomial exactly when its degree
+    is at least 1."""
     for v in values:
-        assert is_canonical(v), repr(v)
+        assert is_canonical(v) and typed_by_degree(v), repr(v)
 
 
 @settings(max_examples=60, deadline=None)
@@ -144,12 +146,12 @@ alpha_01_specs = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(alpha_01_specs, st.integers(0, 12))
 # the compositions of 4 through c_3 give T[4][2] = 2*c_1*c_3 + c_2^2 = 0, so
-# y_4 is a scalar although a composition passes through a Polynomial entry
+# a constant Polynomial entry's terms cancel in y_4
 @example(((0, 1), [2, 2, Polynomial((-1,))]), 4)
 # the same at n = 6, where the Polynomial parts cancel to a constant
 @example(((0, 1), [0, 1, X, Fraction(-1, 2) * X**2]), 6)
 # y_4 = 9 is a constant past the first Polynomial index that no composition
-# through c_3 reaches, so closed_row types it a scalar
+# through c_3 reaches
 @example(((0, 1), [0, 3, X]), 8)
 # a constant Polynomial c_2 past a scalar c_1, at a = 0 and at a != 0
 @example(((0, 1), [3, Polynomial((2,))]), 6)
@@ -177,11 +179,10 @@ one_sign_specs = st.tuples(st.sampled_from((1, -1)), st.lists(st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(one_sign_specs, st.integers(0, 30))
 @example(BellSequenceSpec(0, 1, (1, Polynomial((1,)))), 30)
-# y_m is a Polynomial where m - 3 is a sum of 2s and 3s, so not y_4 = 1
 @example(BellSequenceSpec(0, 1, (0, 1, Polynomial((2,)))), 12)
 def test_one_sign_window_is_typed_without_a_table(spec, N):
-    # no cell can cancel, so a constant is typed by which m reach a
-    # Polynomial entry, with no table built; closed_row agrees
+    # a linear recurrence, typed by degree with no table built; closed_row
+    # agrees
     closed_row(preset("catalan")[0], 1, range(3))
     kept = seq._last_table
     values = list(bell_transform(spec, N).values)
@@ -192,8 +193,8 @@ def test_one_sign_window_is_typed_without_a_table(spec, N):
 
 
 def test_linear_recurrence_window_keeps_the_slot():
-    # a nonzero Polynomial c_1 types every constant value without a table, so
-    # the windows neither build nor replace the kept slot
+    # a linear recurrence's window comes from the recurrence alone, so it
+    # neither builds nor replaces the kept slot
     closed_row(BellSequenceSpec(1, 1, (1 + X, 2)), 1, range(6))
     kept = seq._last_table
     for spec in (preset("jacobsthal")[0], BellSequenceSpec(0, 1, (3 * X, 0, Polynomial((2,)), 1))):
@@ -279,13 +280,11 @@ def test_polynomial_table_is_integral():
 
 def assert_matches_table(spec, r, N):
     """closed_row over 0..N equals the Polynomial-arithmetic table's column
-    sums, with the same type unless the value is zero."""
+    sums."""
     table = power_table(spec.c, N)
     expected = [closed_form_by_table(spec.a, spec.b, r, n, table) for n in range(N + 1)]
     values = closed_row(spec, r, range(N + 1))
     assert values == expected
-    for v, e in zip(values, expected):
-        assert type(v) is type(e) or v == 0, (v, e)
     assert_canonical(*values)
 
 
@@ -304,10 +303,7 @@ def test_empty_row_keeps_the_slot():
 
 @pytest.mark.parametrize("build", [
     lambda: closed_row(preset("catalan")[0], 1, (1094,)),
-    # the window is a linear recurrence, but its cells can cancel, so its
-    # constants are typed by closed_row, whose table to 1094 is priced the same
-    lambda: bell_transform(BellSequenceSpec(0, 1, (1, Polynomial((-1,)))), 1094),
-], ids=["closed_row", "type_fallback"])
+], ids=["closed_row"])
 def test_table_past_the_bound_is_refused_unbuilt(build):
     # 1095 * 1096 / 2 = 600,060 cells, just past MAX_TABLE_CELLS; the slot stays
     closed_row(preset("catalan")[0], 1, range(20))
@@ -315,6 +311,18 @@ def test_table_past_the_bound_is_refused_unbuilt(build):
     with pytest.raises(ValueError, match="MAX_TABLE_CELLS = 600000"):
         build()
     assert seq._last_table is kept
+
+
+def test_cancelling_recurrence_past_the_bound_builds_no_table():
+    # y_n = y_(n-1) - y_(n-2) through a constant Polynomial c_2, whose terms
+    # cancel: its window to 1094, where the table is refused, comes from the
+    # recurrence, and the slot stays
+    closed_row(preset("catalan")[0], 1, range(20))
+    kept = seq._last_table
+    values = bell_transform(BellSequenceSpec(0, 1, (1, Polynomial((-1,)))), 1094).values
+    assert seq._last_table is kept
+    assert list(values) == [(1, 1, 0, -1, -1, 0)[n % 6] for n in range(1095)]
+    assert_canonical(*values)
 
 
 def test_warm_slot_packs_nothing(monkeypatch):
@@ -376,8 +384,9 @@ def test_packed_kernel_tight_bound(a, b, q, r, N):
 
 
 # the one Fraction of the second and the one Polynomial of the fifth are c_4,
-# past the n of many calls; the sixth equals the first in value, with a
-# constant Polynomial c_1, so the slot must tell them apart by type
+# past the n of many calls; the sixth equals the first, with a constant
+# Polynomial c_1, so it shares the first's slot, and each must still equal a
+# call from an empty slot
 SHARED_C = ((2, 1), (1, 0, 0, Fraction(1, 7)), (Fraction(1, 2), -1, Fraction(2, 3)), (-1, 0, 3),
             (1, 0, 0, Fraction(1, 7) * X), (Polynomial((2,)), 1), (Fraction(1, 2), 1 + X))
 table_calls = st.lists(
@@ -394,23 +403,10 @@ table_calls = st.lists(
 )
 
 
-def assert_exact(value, expected, typed=None):
-    """value == expected in canonical form, and a Polynomial exactly when
-    typed (expected by default) is one unless the value is zero, the rule of
-    assert_matches_table."""
+def assert_exact(value, expected):
+    """value == expected in canonical form, typed by its degree."""
     assert value == expected
     assert_canonical(value)
-    typed = expected if typed is None else typed
-    assert isinstance(value, Polynomial) == isinstance(typed, Polynomial) or value == 0, (
-        value, typed)
-
-
-def assert_closed(value, a, b, c, r, n):
-    """value is the closed form at index n >= 1: enumeration gives the value
-    and the Polynomial-arithmetic table the type, because enumeration also
-    adds the terms of weight zero, which are Polynomials in that ring."""
-    assert_exact(value, closed_form_by_enumeration(a, b, c, r, n),
-                 closed_form_by_table(a, b, r, n, power_table(c, n)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -450,13 +446,13 @@ def test_calls_sharing_a_table(calls):
             n = max(n, 1)
             value = convolution_closed(spec, r, n)
             assert_same(value, fresh(convolution_closed, spec, r, n))
-            assert_closed(value, a, b, c, r, n)
+            assert_exact(value, closed_form_by_enumeration(a, b, c, r, n))
         else:
             values = closed_row(spec, r, range(n + 1))
             assert_same(values, fresh(closed_row, spec, r, range(n + 1)))
             assert_exact(values[0], 1)
             for m, value in enumerate(values[1:], start=1):
-                assert_closed(value, a, b, c, r, m)
+                assert_exact(value, closed_form_by_enumeration(a, b, c, r, m))
 
 
 def fresh(fn, *args):

@@ -23,7 +23,7 @@ from bellseq.ring import (
 )
 from bellseq.seq import BellSequenceSpec, RecurrenceSpec, SequenceWindow, preset
 
-from _oracles import falling_factorial_binomial, is_canonical
+from _oracles import falling_factorial_binomial, is_canonical, typed_by_degree
 
 fractions_st = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 polys_st = st.lists(fractions_st, max_size=6).map(Polynomial)
@@ -310,13 +310,16 @@ def packed_values(draw):
 @example((-12, 0), 4)  # exact and negative
 @example((7, 0), 4)  # inexact
 @example((-7, 0), 4)  # inexact and negative
+# one digit at either end of its range, and the least two-digit values
+@example((Polynomial((-8,)), 4), 3)
+@example((Polynomial((7,)), 4), 3)
+@example((Polynomial((-8, 1)), 4), 3)
+@example((Polynomial((7, -1)), 4), 3)
 def test_unpack_inverts_pack(packed, d):
     p, B = packed
     value = _unpack(_pack(p, B), B, d)
-    expected = normalized(p * Fraction(1, d))
-    assert value == expected
-    assert type(value) is type(expected)
-    assert is_canonical(value), repr(value)
+    assert value == normalized(p * Fraction(1, d))
+    assert is_canonical(value) and typed_by_degree(value), repr(value)
 
 
 @st.composite

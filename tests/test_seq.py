@@ -33,6 +33,8 @@ from _oracles import (
     random_ring_spec,
     run_recurrence,
     tribonacci_list,
+    typed_by_degree,
+    window_by_ring,
 )
 
 
@@ -157,6 +159,7 @@ class TestRewrittenForm:
             except RewrittenFormUndefined:
                 continue
             assert rewritten.values == bell_transform(spec, 12).values
+            assert all(map(typed_by_degree, rewritten.values))
             checked += 1
 
     def test_zero_denominator_reported_with_pair(self):
@@ -309,9 +312,10 @@ class TestDecompose:
     @settings(max_examples=300, deadline=None)
     @given(recurrences, st.integers(0, 20))
     # a constant Polynomial lambda_0 over an int window: every value is a
-    # constant Polynomial, typed by lambda_0 alone
+    # constant, so a scalar
     @example(((2,), (Polynomial((3,)),)), 4)
-    # y_1 = Polynomial((1,)): a_1 = 0 * y_1 + 1 * y_0 is a Polynomial
+    # a constant Polynomial c_1 makes lambda_1 = 1 - c_1 * 0 a Polynomial,
+    # and the constant a_1 = 1 a scalar
     @example(((Polynomial((1,)), 2 * X), (0, 1)), 6)
     # zero entries and Fractions in both rings
     @example(((Fraction(1, 2), 0, X), (0, Polynomial((Fraction(-2, 3), 1)), 0)), 9)
@@ -321,12 +325,17 @@ class TestDecompose:
     def test_equals_ring_reference(self, rec_lists, extra):
         coeffs, init = rec_lists
         N = len(coeffs) - 1 + extra
-        lambdas, window = decompose(RecurrenceSpec(coeffs, init), N)
-        y = bell_transform(BellSequenceSpec(0, 1, coeffs), N).values
-        expected_lambdas, expected = decompose_by_ring(RecurrenceSpec(coeffs, init).initial, y)
+        rec = RecurrenceSpec(coeffs, init)
+        lambdas, window = decompose(rec, N)
+        # the lambdas take their types from ring arithmetic, so the solve runs
+        # over y in ring arithmetic, which equals the package's window
+        y = window_by_ring(rec.coefficients, N)
+        assert y == list(bell_transform(BellSequenceSpec(0, 1, coeffs), N).values)
+        expected_lambdas, expected = decompose_by_ring(rec.initial, y)
         # repr tells a constant Polynomial from its scalar, and an int from a Fraction
         assert list(map(repr, lambdas)) == list(map(repr, expected_lambdas))
-        assert list(map(repr, window.values)) == list(map(repr, expected))
+        assert list(window.values) == expected
+        assert all(is_canonical(v) and typed_by_degree(v) for v in window.values)
 
     def test_ring_products_do_not_grow_with_N(self, monkeypatch):
         calls = []
