@@ -1,15 +1,10 @@
 """Partial Bell polynomials B_{n,k}.
 
-B_{n,k}(x_1, ..., x_{n-k+1}) sums, over all multi-indices alpha with
-sum(alpha_i) = k and sum(i * alpha_i) = n, the monomials
-
-    n! / (alpha_1! alpha_2! ...) * (x_1/1!)^alpha_1 * (x_2/2!)^alpha_2 * ...
-
-Two independent evaluation routes are provided (direct enumeration of the
-index set, and the binomial recurrence) so each can cross-check the other,
-plus closed forms for the two argument patterns (c1, 2c2, 0, ...) and
-(1!, 2!, 3!, 0, ...).
-"""
+B_{n,k}(x_1, ..., x_{n-k+1}) sums n!/(alpha_1! alpha_2! ...) (x_1/1!)^alpha_1
+(x_2/2!)^alpha_2 ... over the multi-indices alpha with sum(alpha_i) = k and
+sum(i alpha_i) = n.  Two independent routes, enumeration of the index set and
+the binomial recurrence, cross-check each other; closed forms cover the
+argument patterns (c1, 2c2, 0, ...) and (1!, 2!, 3!, 0, ...)."""
 
 from __future__ import annotations
 
@@ -160,13 +155,9 @@ def bell_eval(n: int, k: int, xs) -> RingElement:
 
 
 def bell_eval_recurrence(n: int, k: int, xs) -> RingElement:
-    """B_{n,k}(xs) via B_{n,k} = sum_i binom(n-1, i-1) x_i B_{n-i,k-1}.
-
-    Independent of :func:`bell_eval`; the two must agree on all inputs.
-    The table is built bottom-up over k: one row of B_{m,k'} per k' < k, for
-    the m that B_{n,k} reaches, then B_{n,k} alone.  A term whose B_{m-i,k'-1}
-    cell is zero is skipped.  Nothing is kept between calls.
-    """
+    """B_{n,k}(xs) via B_{n,k} = sum_i binom(n-1, i-1) x_i B_{n-i,k-1},
+    independent of :func:`bell_eval`: one row of B_{m,k'} per k' < k, for the
+    m that B_{n,k} reaches, then B_{n,k} alone, skipping zero cells."""
     _check_nk(n, k)
     _check_args(n, k, xs)
     if k > n:

@@ -1,50 +1,35 @@
 """Command-line front end: sequence generation, convolution verification,
 recurrence decomposition, and Bell-polynomial inspection.
 
-Output goes to stdout as plain text, CSV, or one JSON object per line.
-Exit codes: 0 success / all checks matched, 1 a verification check failed,
-2 usage error.
+Output is plain text, CSV, or one JSON object per line; exit 0 on success
+or all checks matched, 1 on a failed check, 2 on a usage error.  argv is
+parsed in one pass by each command's table of long options (``_COMMANDS``):
+``--opt value`` or ``--opt=value``, unique prefixes, the last of repeated
+options, ``--param`` appended, a value begun by ``-`` taken unless ``--``;
+``--format``, ``--quiet`` and ``-h`` go anywhere.  Every usage error, a
+request that memory or ``ring.WORK`` refuses included (`bell` is priced
+here), exits 2 with one ``usage:`` and one ``error:`` line.  All values are
+formatted before the first line, so such a request, or a value past the
+digit limit for int-to-text conversion, leaves stdout empty; a reader that
+closes stdout early ends it with exit 0.  ``json`` and :mod:`.conv` load
+where used."""
 
-A request is parsed in one pass over argv, by the table of each command's
-long options (``_COMMANDS``).  ``--opt value`` and ``--opt=value`` both
-work; a unique prefix stands for its option and an ambiguous one is
-refused; a repeated option keeps its last value, and ``--param`` appends.
-A value is the next token unless that begins with ``--``, so a list may
-begin with a minus sign (``--c -1/2,3``).  ``--format`` and ``--quiet`` are
-accepted before or after the command, and ``-h`` / ``--help`` prints the
-usage and exits 0.
-
-Every usage error, whether the parser or the library rejects the request,
-exits 2 with one ``usage:`` line and one ``error:`` line on stderr; so does a
-``bell`` request whose B_{n,k} has more than MAX_BELL_EXPONENTS exponents
-over all its terms, or an n + 1 above it, and a request whose memory cannot
-be allocated.  The library prices the rest where it does the work: a
-``conv --check`` row past ``conv.MAX_ORACLE_PARTS``, a closed form's table
-past ``seq.MAX_TABLE_CELLS``, Miller rows past ``seq.MAX_MILLER_PRODUCTS``,
-and a value longer than the interpreter's digit limit for int-to-text
-conversion.  Every value is formatted before the first line is written, so
-such a request leaves stdout empty.
-A reader that closes stdout early ends the command quietly, with exit 0.
-
-``json`` and :mod:`.conv` are imported by the code that uses them, so a
-plain ``seq`` request loads neither.
-"""
 
 from __future__ import annotations
 
 import os
 import sys
+from math import isqrt
 from types import SimpleNamespace
 
 from . import seq
 from .bellpoly import bell_eval, bell_eval_recurrence, bell_symbolic
-from .ring import format_element, parse_element
+from .ring import _norm, _scale, format_element, parse_element, price
 from .seq import PRESET_NAMES, BellSequenceSpec, RecurrenceSpec
 
-# largest enumeration `bell` accepts, in exponents written (p(n, k) terms of
-# n - k + 1 exponents each): about a second of work; n + 1 is held to the
-# same bound, for the multiplicities and powers up to k <= n that a term takes
-MAX_BELL_EXPONENTS = 2 * 10**6
+# one exponent of a term costs about 10 products of one digit, 170 ns: the
+# steps that enumerate it, weigh it, and write or read it (README, "Limits")
+PASSES = 10
 
 
 def _element_list(text: str) -> list:
@@ -223,6 +208,47 @@ def _partition_count(n: int, k: int) -> int:
     return ways[n - k]
 
 
+def _bell_work(n: int, k: int, xs) -> tuple:
+    """(each, once): the products of `bell` at (n, k) with --x xs, as price()
+    reads them, for each term of B_{n,k} and once: n + 1 steps, over the
+    multiplicities and powers to k <= n; PASSES for each of a term's n - k + 1
+    exponents; per term, its coefficient, a set-partition count, at most
+    S(n, k) <= binom(n, k) k^(n-k), times its nz <= sqrt(2 n) + 1 nonzero
+    powers (distinct part sizes sum to n at most); each power x_i^a by
+    squaring, at most 8/3 of a product of its halves, a_1 <= k of n - k + 1
+    values at most and, for i >= 2, a <= k and a (i - 1) <= n - k; and the
+    value.  With D x_i = u of int coefficients and v = max(D, ||u||_1), u^a
+    and D^a are below 2^(a b_i + 1), b_i = bits(v - 1), and as a_1 +
+    sum_{i>=2} a_i = k and sum_{i>=2} (i - 1) a_i = n - k, a term's sum_i a_i
+    b_i <= k b_1 + (n - k) max_{i>=2} b_i/(i - 1), its degree likewise.
+    Degrees d_1 + d_2 <= e take (d_1 + 1)(d_2 + 1) <= (e/2 + 1)^2 coefficient
+    products, a term's nz products of degree d at most d^2 (nz - 1)/(2 nz) +
+    nz (d + 1)."""
+    slots = n - k + 1 if k <= n else 0
+    each, once = [(slots * PASSES, 0, 0)], [(n + 1, 0, 0)]
+    if not slots or not k:
+        return each, once
+    D, us = _scale(list(xs[:slots])) if xs else (1, [0])
+    # of the bits b_i, then of the degrees: x_1's, the most of a power x_i^a,
+    # i >= 2, and the most of a term
+    sizes = []
+    for column in ([(max(D, _norm(u)) - 1).bit_length() for u in us],
+                   [getattr(u, "degree", 0) for u in us]):
+        rest = column[1:]
+        most = any(rest) and min(k * max(rest), max(-(-(n - k) * b // j)
+                                                    for j, b in enumerate(rest, 1)))
+        sizes.append((k * column[0], most, min(k * column[0] + most, k * max(column))))
+    (b1, b_most, bits), (d1, d_most, d) = sizes
+    nz = min(k, slots, isqrt(2 * n) + 1)
+    value = min(n, min(k, n - k) * n.bit_length()) + (n - k) * (k - 1).bit_length() + bits + 2
+    each.append((d * d * (nz - 1) // (2 * nz) + nz * (d + 1), value, value))
+    once.append((d + 1, value, value))
+    for count, b, e in ((min(k, slots), b1, d1),
+                        (min(k * (slots - 1), (n - k) * (n - k).bit_length()), b_most, d_most)):
+        once.append((3 * count * (e // 2 + 1) ** 2, b // 2 + 1, b // 2 + 1))
+    return each, once
+
+
 def _cmd_bell(args, emitter) -> int:
     n, k = args.n, args.k
     if args.symbolic and args.x is not None:
@@ -231,21 +257,16 @@ def _cmd_bell(args, emitter) -> int:
         raise ValueError("--symbolic conflicts with --cross-check")
     if not args.symbolic and args.x is None:
         raise ValueError("either --symbolic or --x is required")
-    # n first, so a huge n is never counted: enumerate_pi steps through the
-    # multiplicities of size 1 from k down, and --x raises an entry to k <= n
-    if n + 1 > MAX_BELL_EXPONENTS:
-        raise ValueError(
-            f"B_({n},{k}) takes multiplicities and powers up to {n}, {n + 1} values, "
-            f"more than MAX_BELL_EXPONENTS = {MAX_BELL_EXPONENTS}"
-        )
-    # then p(n, k) >= floor((n - k)/2) + 1 (2 <= k <= n) refuses before any counting
-    least = ((n - k) // 2 + 1) * (n - k + 1) if 2 <= k <= n else 0
-    exponents = least if least > MAX_BELL_EXPONENTS else _partition_count(n, k) * (n - k + 1)
-    if exponents > MAX_BELL_EXPONENTS:
-        raise ValueError(
-            f"B_({n},{k}) has {'at least ' * (exponents == least)}{exponents} exponents over "
-            f"its terms, more than MAX_BELL_EXPONENTS = {MAX_BELL_EXPONENTS}"
-        )
+    each, once = _bell_work(n, k, args.x or ())
+
+    def work(terms):
+        return lambda parts: once + [(terms * count, a, b) for count, a, b in each]
+
+    # the lower bound on p(n, k) first, so that a refused request is not counted
+    terms = (n - k) // 2 + 1 if 2 <= k <= n else 1
+    if price(work(terms)):
+        terms = _partition_count(n, k)
+    price(work(terms), f"B_({n},{k})")
     if args.symbolic:
         text = str(bell_symbolic(n, k))
         emitter.emit({"kind": "bellpoly", "n": n, "k": k, "terms": text}, text)

@@ -1,37 +1,24 @@
 """Multifold convolutions of Bell-transform sequences.
 
-The r-fold convolution sum_{m_1+...+m_r=n} y_{m_1} ... y_{m_r} admits the
-closed form
+The r-fold convolution sum_{m_1+...+m_r=n} y_{m_1} ... y_{m_r} has, for
+n >= 1, the closed form r sum_k binom(a*n + b*k + r-1, k-1) (k-1)!/n!
+B_{n,k}(1!c_1, ...).  Here are the composition oracle, the closed form and
+its delta-shifted variant (calls into :func:`~bellseq.seq.closed_row`),
+per-family formulas coded apart from it, and a checker for the two-index
+Bell identity they rest on; :func:`check_row` pairs oracle and closed form,
+priced as one request, for ``conv --check`` and :func:`verify_theorem`."""
 
-    r * sum_{k=1..n} binom(a*n + b*k + r-1, k-1) * (k-1)!/n! * B_{n,k}(1!c_1, ...)
-
-for n >= 1.  This module implements the brute-force composition oracle, the
-closed form, its delta-shifted variant for the a=0, b=1 family, specialized
-per-family formulas coded independently of the general one, and a numeric
-checker for the two-index Bell convolution identity they all rest on.
-:func:`check_row` pairs the oracle with the closed form index by index, at
-a price, for ``conv --check`` and :func:`verify_theorem` alike.
-
-Both closed forms are calls into the power-series kernel of :mod:`.seq`
-(:func:`~bellseq.seq.closed_row`); only the oracle, the specialized formulas
-and the lemma checker compute on their own.  The oracle still visits every
-composition, but sums int products: the values it reads are scaled by one
-common denominator and, when some are Polynomials, packed into ints at
-x = 2^B, so each sum ends in one decode, which unpacks it and divides once,
-all three steps from the exact-int layer of :mod:`.ring`.  The values sit in
-one list indexed by the part itself, 0 where a part makes the product vanish,
-so a part costs one lookup and one int product.
-"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import comb
 
 from .bellpoly import bell_closed_three_term, bell_eval
-from .ring import (Polynomial, Record, RingElement, X, _norm, _pack, _scale, _unpack,
-                   format_element, generalized_binomial, normalized)
-from .seq import BellSequenceSpec, SequenceWindow, bell_transform, closed_row
+from .ring import (WORK, Polynomial, Record, RingElement, X, _norm, _pack, _scale, _unpack,
+                   blocks, format_element, generalized_binomial, normalized, price)
+from .seq import BellSequenceSpec, SequenceWindow, bell_transform, closed_row, growth, work
 
 __all__ = [
     "ConvolutionReport",
@@ -46,13 +33,6 @@ __all__ = [
     "check_row",
     "verify_theorem",
 ]
-
-# largest oracle cost a check row accepts, in composition parts (each visit
-# builds and multiplies out an r-tuple, one lookup and one int product a
-# part): well under a second of work for int, small rational and low-degree
-# Polynomial values, far more for wide Polynomial ones (README)
-MAX_ORACLE_PARTS = 2 * 10**6
-
 
 class LemmaGuardError(ValueError):
     """A summand of the convolution lemma divides by zero at (l, m)."""
@@ -117,26 +97,16 @@ def compositions(n: int, r: int):
 
 def convolution_oracle(window: SequenceWindow, r: int, n: int, delta: int = 0) -> RingElement:
     """Brute-force sum of products y_{m_1-delta} ... y_{m_r-delta} over all
-    compositions m_1 + ... + m_r = n, with y at negative index equal to 0.
-
-    A product is nonzero only when every part is at least delta, and then
-    its indices sum to M = n - r*delta, so only y_0..y_M count (y_M alone
-    for r = 1).  They are scaled by D, the lcm of their denominators, and
-    a Polynomial among them packs each D*y_i into one int at x = 2^B, B
-    from the norm bound [t^M] (sum_i ||D*y_i||_1 t^i)^r.  Every product and
-    sum is then an int; the total is unpacked once and divided once by D^r.
-    The scaled values are shifted by delta into one list, so a part m reads
-    its own factor, D*y_(m-delta), or 0 where the product vanishes (below
-    delta, and past y_M).  A product then costs one lookup and one int
-    product per part: it stops at its first 0 factor when the list holds a
-    0, and multiplies all r factors with no test otherwise.
-    Decoded with that B, the value is a Polynomial exactly when its degree
-    is at least 1, as every value of the exact-int layer is:
+    compositions m_1 + ... + m_r = n, y at negative index 0.  Only y_0..y_M
+    count, M = n - r*delta (y_M alone for r = 1), scaled by D, the lcm of their
+    denominators, and with a Polynomial among them packed at x = 2^B, B from
+    the norm bound [t^M] (sum_i ||D*y_i||_1 t^i)^r, into one list indexed by
+    the part, 0 where the product vanishes: a part is one lookup and one int
+    product, and the total is decoded once, by D^r:
 
     >>> from bellseq.seq import preset
     >>> convolution_oracle(bell_transform(preset("jacobsthal")[0], 5), 2, 5)
-    Polynomial((6, 40, 48))
-    """
+    Polynomial((6, 40, 48))"""
     if r < 1:
         raise ValueError("r must be at least 1")
     if n < 0 or delta < 0:
@@ -196,13 +166,9 @@ def convolution_closed(spec: BellSequenceSpec, r: int, n: int) -> RingElement:
 
 
 def shifted_convolution_closed(c, r: int, n: int, delta: int) -> RingElement:
-    """Closed form for the a=0, b=1 family with every factor shifted by delta:
-
-        sum_{k=0..m} binom(k+r-1, k) * k!/m! * B_{m,k}(1!c_1, ...),  m = n - delta*r
-
-    which is the unshifted closed form of the a=0, b=1 family at index m.
-    Returns 1 when m = 0 and 0 when m < 0.
-    """
+    """Closed form for the a=0, b=1 family with every factor shifted by
+    delta, sum_{k=0..m} binom(k+r-1, k) k!/m! B_{m,k}(1!c_1, ...), m = n -
+    delta*r: the unshifted closed form at index m, 1 at m = 0, 0 below it."""
     if r < 1:
         raise ValueError("r must be at least 1")
     if n < 0 or delta < 0:
@@ -235,15 +201,11 @@ def convolution_closed_specialized(
     c1: RingElement | None = None,
     c2: RingElement | None = None,
 ) -> RingElement:
-    """Per-family convolution formulas, coded independently of
-    :func:`convolution_closed` so the test suite can compare two separate
-    routes against the oracle.
-
-    fibonacci, tribonacci, jacobsthal sum over the shifted index range and
-    return 0 below it; catalan, motzkin, fuss_catalan (parameter b) are the
-    unshifted product formulas; two_term (parameters c1, c2) is the generic
-    a=1, b=0 two-coefficient family, defined for n >= 1.
-    """
+    """Per-family convolution formulas, coded apart from
+    :func:`convolution_closed` so that tests compare two routes with the oracle:
+    fibonacci, tribonacci and jacobsthal sum over the shifted index range (0
+    below it); catalan, motzkin and fuss_catalan (parameter b) are product
+    formulas; two_term (c1, c2) is the a=1, b=0 two-coefficient family, n >= 1."""
     if r < 1:
         raise ValueError("r must be at least 1")
     if n < 0:
@@ -295,22 +257,15 @@ def convolution_closed_specialized(
 
 
 def lemma_identity_check(alpha_coeffs, tau: int, n: int, k: int, xs) -> bool:
-    """Numerically verify the two-index Bell convolution identity.
-
-    With alpha(l, m) = p*l + q*m + s (alpha_coeffs = (p, q, s)) and tau != 0,
-    compares
+    """Verify the two-index Bell convolution identity exactly on xs: with
+    alpha(l, m) = p*l + q*m + s (alpha_coeffs = (p, q, s)) and tau != 0,
 
         sum_{l=0..k} sum_{m=l..n} binom(alpha, k-l) binom(tau-alpha, l) binom(n, m)
             / (alpha (tau-alpha) binom(k, l)) * B_{m,l}(xs) B_{n-m,k-l}(xs)
+        == (tau - alpha(0,0) + alpha(k,n)) / (tau alpha(k,n) (tau - alpha(0,0)))
+            * binom(tau, k) * B_{n,k}(xs).
 
-    against
-
-        (tau - alpha(0,0) + alpha(k,n)) / (tau alpha(k,n) (tau - alpha(0,0)))
-            * binom(tau, k) * B_{n,k}(xs)
-
-    over the given arguments, exactly.  Every summand denominator must be
-    nonzero on the index band; offenders raise :class:`LemmaGuardError`.
-    """
+    A summand denominator that vanishes raises :class:`LemmaGuardError`."""
     p, q, s = alpha_coeffs
     if tau == 0:
         raise ValueError("tau must be nonzero")
@@ -352,21 +307,32 @@ def lemma_identity_check(alpha_coeffs, tau: int, n: int, k: int, xs) -> bool:
 
 def check_row(spec: BellSequenceSpec, r: int, N: int, delta: int = 0):
     """Oracle-vs-closed-form reports at (r, n), n = 1..N, one at a time; for
-    delta > 0 (the a=0, b=1 family only) the closed side is the shifted form.
-    A row whose oracle would build more than MAX_ORACLE_PARTS composition
-    parts, or whose closed side at N (the largest table) the library refuses,
-    is refused at the first next(), before the window and any report.  The
-    closed side is one call per index, to the function bound in this module."""
-    # r parts for each of the C(N + r, r) - 1 compositions over n = 1..N;
-    # that is at least N * r^2, which spares computing a huge binomial
-    parts = N * r**2
-    if parts <= MAX_ORACLE_PARTS:
-        parts = r * (comb(N + r, r) - 1)
-    if parts > MAX_ORACLE_PARTS:
-        raise ValueError(
-            f"the oracle would build at least {parts} composition parts, more than "
-            f"MAX_ORACLE_PARTS = {MAX_ORACLE_PARTS}; use --closed-only"
-        )
+    delta > 0 (a=0, b=1 only) the closed side is the shifted form, one call per
+    index to this module's function.  The window, the walk and the closed side
+    are priced together at the first next(), before any is built.  At index n
+    the walk visits C(n + r - 1, r - 1) compositions of r parts, each a product
+    of the running product by a factor D y_m, D | E^n, whose bits sum, by
+    :func:`~bellseq.seq.growth` and sum_i ceil(m_i q/16) <= ceil(n q/16) + r,
+    to at most ceil(n q/16) + r (h + 2) + r n bits(E - 1); packed at B below
+    that plus n + r + 1 (the norm bound, r n^2 products, has C(n + r - 1,
+    r - 1) < 2^(n + r)), of degree n d + r, decoded as in seq.  Past n r =
+    WORK the binomial is taken as max(n, r), past WORK with r parts; at r =
+    1 the window is."""
+    E, q, h, (dp, dq), _ = grown = growth(spec, N)
+
+    def walk(parts):
+        for n, size in blocks(N, parts):
+            full = -(-n * q // 16) + r * (h + 2) + r * n * (E - 1).bit_length()
+            if dp:
+                yield size * (r - 1) * n * n, full, full
+                full = (n * dp // dq + r) * (full + n + r + 1)
+                yield 3 * size * (n * dp // dq + r), 30, full
+            count = comb(n + r - 1, n) if n * r <= WORK else max(n, r)
+            yield size * r * count, full // 2, full // 2
+
+    shifted = BellSequenceSpec(0, 1, spec.c) if delta else spec
+    price(lambda parts: chain(work(spec, N, 0, parts, grown), walk(parts),
+                              work(shifted, max(N - delta * r, 0), r, parts)), "the check row")
 
     def closed(n):
         if delta > 0:

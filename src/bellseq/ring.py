@@ -1,15 +1,13 @@
 """Exact arithmetic substrate: rationals, dense univariate polynomials, and
 generalized binomial coefficients.
 
-Every value handled by this package is an ``int``, a ``fractions.Fraction``,
-or a :class:`Polynomial` with int and Fraction coefficients, and
-:func:`normalized` alone decides what is exact and puts it in canonical form
-(an int when integral, else a reduced Fraction).  The three types mix freely
-under ``+``, ``-``, ``*`` and ``**``; results are exact and canonical.
-Floating point never enters.  Every exact route of the package ends in
-the exact-int layer below the ring: :func:`_scale`, :func:`_pack` (at
-x = 2^B, Kronecker substitution), :func:`_norm` and :func:`_unpack`.
-"""
+Every value is an ``int``, a ``fractions.Fraction`` or a :class:`Polynomial`
+with int and Fraction coefficients; :func:`normalized` alone decides what is
+exact and puts it in canonical form.  The three types mix freely under
+``+``, ``-``, ``*`` and ``**``, exactly; floating point never enters.  Every
+exact route ends in the exact-int layer below the ring (:func:`_scale`,
+:func:`_pack` at x = 2^B, :func:`_norm`, :func:`_unpack`), and is priced in
+the one unit of :func:`price`."""
 
 from __future__ import annotations
 
@@ -45,12 +43,10 @@ def normalized(value: RingElement) -> RingElement:
 
 
 class Record:
-    """Base of the package's immutable value records, whose fields are the
-    names in ``__slots__``, in order: equal and hashed by the tuple of their
-    values when of one class, shown as ``Name(field=value, ...)``, copied
-    and pickled through ``__init__``, and never assigned after it.  Each
-    subclass's ``__init__`` sets every field with ``object.__setattr__``,
-    as a frozen dataclass does."""
+    """Base of the immutable value records, whose fields are the names in
+    ``__slots__``: equal and hashed by their values within one class, shown as
+    ``Name(field=value, ...)``, copied and pickled through ``__init__``, which
+    sets each field with ``object.__setattr__``, and never assigned after it."""
 
     __slots__ = ()
 
@@ -80,23 +76,13 @@ class Record:
 
 
 class Polynomial:
-    """Dense univariate polynomial over the rationals.
-
-    Coefficients are stored ascending: ``coefficients[i]`` multiplies
-    ``x**i``.  The representation is canonical: the highest stored
-    coefficient is nonzero, the zero polynomial stores nothing, and every
-    coefficient is in the canonical form of :func:`normalized`.
-    Instances are immutable; a constant polynomial compares (and hashes)
-    equal to the scalar it represents.
+    """Dense univariate polynomial over the rationals, immutable: coefficient
+    i multiplies ``x**i``, the highest stored is nonzero, each is canonical as
+    by :func:`normalized`, and a constant equals and hashes as its scalar.
 
     >>> p = Polynomial((1, 4))
-    >>> str(p)
-    '1+4x'
-    >>> p * p
-    Polynomial((1, 8, 16))
-    >>> p / 8
-    Polynomial((Fraction(1, 8), Fraction(1, 2)))
-    """
+    >>> str(p), p * p, p / 8
+    ('1+4x', Polynomial((1, 8, 16)), Polynomial((Fraction(1, 8), Fraction(1, 2))))"""
 
     __slots__ = ("_coeffs",)
 
@@ -208,8 +194,9 @@ class Polynomial:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __call__(self, value):
@@ -270,6 +257,45 @@ def _scale(values) -> tuple:
                else D // v.denominator * v.numerator for v in values]
 
 
+# the one bound on a request's work, in the unit of price(), set so that the
+# largest request of each route takes about 5 s (README, "Limits")
+WORK = 10**10
+
+
+def price(products, what: str = "") -> bool:
+    """Whether products(parts), (count, bits, bits) triples of count int
+    products of operands of at most those bits, over 1..N cut into parts
+    runs by :func:`blocks`, weigh at most WORK: one run first, 16 only past
+    it; past WORK with a what, ValueError naming WORK, before the work.  The
+    unit is a product of two 30-bit digits, CPython's int digit: a product
+    of a <= b digits weighs (b/a) K(a) + 32, K(a) = a^2 up to 70 digits,
+    where CPython multiplies by schoolbook, and 3 K(a/2) past them, as by
+    Karatsuba on a-digit pieces; 32 is the interpreter's step around it."""
+    for parts in (1, 16):
+        total = 0
+        for count, bits_a, bits_b in products(parts):
+            a, b = bits_a // 30 + 1, bits_b // 30 + 1
+            if a > b:
+                a, b = b, a
+            k, cuts = a, 1
+            while k > 70:
+                k, cuts = (k + 1) >> 1, 3 * cuts
+            total += count * (b * cuts * k * k // a + 32)
+            if total > WORK:
+                break
+        else:
+            return True
+    if what:
+        raise ValueError(f"{what} would take more than WORK = {WORK} units of work")
+    return False
+
+
+def blocks(N: int, parts: int):
+    """(m, size): 1..N in at most parts runs of size numbers up to m each."""
+    step = -(-N // parts) or 1
+    return ((m, min(step, m)) for m in range(N, 0, -step))
+
+
 def _pack(entry: RingElement, B: int) -> int:
     """An int or int-coefficient Polynomial entry at x = 2^B, by shifts; the
     identity on ints."""
@@ -288,24 +314,21 @@ def _norm(entry: RingElement) -> int:
 
 def _unpack(value: int, B: int, denominator: int) -> RingElement:
     """value / denominator in canonical form, denominator > 0, value read as
-    balanced base-2^B digits, each in [-2^(B-1), 2^(B-1)), and divided the
-    same way: every coefficient packed into value must lie in that range.
-    A value of one digit, one in [-2^(B-1), 2^(B-1)) (B = 0 reads any value
-    as one digit), is the scalar, an int when the division is exact, else a
-    Fraction; any other value has a nonzero top digit, so it is the
-    Polynomial of degree at least 1 packed into it at x = 2^B.
+    balanced base-2^B digits, each in [-2^(B-1), 2^(B-1)), every coefficient
+    packed into it in that range.  A value of one digit (any value for B = 0)
+    is the scalar, an int when the division is exact, else a Fraction; any
+    other has a nonzero top digit, the Polynomial of degree >= 1 packed at 2^B.
 
     >>> _unpack(_pack(Polynomial((3, -1, 2)), 3), 3, 6)
     Polynomial((Fraction(1, 2), Fraction(-1, 6), Fraction(1, 3)))
     >>> _unpack(5, 4, 2), _unpack(5 + (1 << 4), 4, 2)
     (Fraction(5, 2), Polynomial((Fraction(5, 2), Fraction(1, 2))))
     >>> _unpack(-9, 0, 6), _unpack(-12, 0, 6)
-    (Fraction(-3, 2), -2)
-    """
-    half = (1 << B) >> 1
-    if not B or -half <= value < half:
+    (Fraction(-3, 2), -2)"""
+    if not B or (value if value >= 0 else ~value).bit_length() < B:
         quotient, remainder = divmod(value, denominator)
         return Fraction(value, denominator) if remainder else quotient
+    half = (1 << B) >> 1
     coefficients = []
     mask = (1 << B) - 1
     while value:
@@ -317,19 +340,12 @@ def _unpack(value: int, B: int, denominator: int) -> RingElement:
 
 
 def generalized_binomial(t: int, k: int) -> int:
-    """Binomial coefficient t over k for arbitrary integer t and k >= 0.
+    """Binomial coefficient t over k for any integer t and k >= 0, the
+    falling factorial t(t-1)...(t-k+1) / k!, brought to ``math.comb`` for t < 0
+    by upper negation, binom(t, k) = (-1)^k binom(k-t-1, k):
 
-    Defined by the falling factorial t(t-1)...(t-k+1) / k!, which is an
-    integer for every integer t, negative upper arguments included:
-
-    >>> generalized_binomial(-1, 2)
-    1
-    >>> generalized_binomial(-3, 3)
-    -10
-
-    For t < 0 upper negation, binom(t, k) = (-1)^k binom(k-t-1, k), brings
-    it to ``math.comb``.
-    """
+    >>> generalized_binomial(-1, 2), generalized_binomial(-3, 3)
+    (1, -10)"""
     if k < 0:
         raise ValueError(f"lower index must be non-negative, got {k}")
     if t >= 0:
@@ -339,12 +355,9 @@ def generalized_binomial(t: int, k: int) -> int:
 
 def format_element(value: RingElement) -> str:
     """Canonical text form: ``p/q`` for rationals (``/q`` omitted when 1),
-    ascending powers of ``x`` for polynomials, e.g. ``1+4x`` or ``3/2x^2``.
-
-    An int with more digits than the interpreter converts to text
-    (``sys.get_int_max_str_digits()``, where there is such a limit) raises
-    ValueError naming the limit; it is not lifted, since CPython converts an
-    int to text in time quadratic in its digits."""
+    ascending powers of ``x`` for polynomials, e.g. ``1+4x`` or ``3/2x^2``.  An
+    int past the interpreter's digit limit for int-to-text conversion raises
+    ValueError naming it; the limit stands, as the conversion is quadratic."""
     try:
         return str(normalized(value))
     except ValueError:
@@ -359,16 +372,12 @@ _TERM_RE = re.compile(r"([+-]?)(?:(\d+)(?:/(\d+))?(?:\*(?=x))?)?(x(?:\^(\d+))?)?
 
 
 def parse_element(text: str) -> RingElement:
-    """Parse the canonical text form produced by :func:`format_element`.
-
-    Accepts integers, rationals ``p/q``, monomials ``kx`` / ``kx^e``, sums
-    of these, and one level of surrounding parentheses, e.g. ``(1+2x)``.
-    Returns an int or a Fraction unless ``x`` occurs, in which case a
-    Polynomial.
+    """Parse the canonical text form of :func:`format_element`: integers,
+    rationals ``p/q``, monomials ``kx`` / ``kx^e``, their sums, and one level
+    of parentheses; a Polynomial only when ``x`` occurs.
 
     >>> parse_element("-3/2"), parse_element("(1-x^2)")
-    (Fraction(-3, 2), Polynomial((1, 0, -1)))
-    """
+    (Fraction(-3, 2), Polynomial((1, 0, -1)))"""
     s = text.strip().replace(" ", "")
     if s.startswith("(") and s.endswith(")"):
         s = s[1:-1]

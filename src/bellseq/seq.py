@@ -1,66 +1,29 @@
-"""Sequences built from partial Bell polynomials.
+"""Sequences built from partial Bell polynomials: y_0 = 1, y_n =
+sum_{k=1..n} binom(a*n + b*k, k-1) (k-1)!/n! B_{n,k}(1!c_1, 2!c_2, ...), for
+integers (a, b) not both zero and a finite list c, with presets and
+:func:`decompose` of a linear recurrence into shifted y (a = 0, b = 1).
 
-The central object is the family
+As B_{n,k}(1!c_1, ...) = n!/k! [t^n] g^k, g = sum_j c_j t^j (Comtet, 1974,
+3.3), the r-fold convolution is a column sum over one table of powers of
+D*g: :func:`closed_row`.  By Lagrange-Buermann inversion y is also the one
+series with y = 1 + sum_j c_j t^j y^(a*j + b), solved a coefficient at a
+time, each power extended by J. C. P. Miller's recurrence (Knuth, TAOCP 2,
+4.7): :func:`bell_transform`, for rational c and linear recurrences.
+Polynomials are packed at x = 2^B (Kronecker substitution), so both routes
+are int arithmetic, decoded once by :mod:`.ring`: a Polynomial exactly when
+its degree is at least 1.  Each route is priced (ring.price) before it works."""
 
-    y_0 = 1,
-    y_n = sum_{k=1..n} binom(a*n + b*k, k-1) * (k-1)!/n! * B_{n,k}(1!c_1, 2!c_2, ...)
-
-parameterized by integers (a, b), not both zero, and a finite coefficient
-list c.  Named presets cover Fibonacci, Tribonacci, Jacobsthal (polynomial
-ring), Catalan, Motzkin, and the Fuss-Catalan family, and `decompose`
-expresses an arbitrary constant-coefficient linear recurrence sequence as a
-fixed linear combination of shifted y values (the a=0, b=1 member).
-
-Two routes evaluate the family.  With g(t) = sum_j c_j t^j,
-B_{n,k}(1!c_1, 2!c_2, ...) = n!/k! * [t^n] g(t)^k (Comtet, Advanced
-Combinatorics, 1974, section 3.3), so y_n and its r-fold convolution are
-column sums over one table of truncated powers of D*g:
-
-    r * sum_{k=1..n} binom(a*n + b*k + r-1, k-1) / k * [t^n] g(t)^k
-
-and y is r = 1.  By Lagrange-Buermann inversion (Comtet, section 3.8;
-Graham, Knuth and Patashnik, Concrete Mathematics, section 5.4) y is also
-the one power series with
-
-    y = 1 + sum_j c_j t^j y^(a*j + b),
-
-whose coefficients come one at a time, each power of y extended by
-J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, section 4.7) in
-O(N^2) int products per distinct exponent a*j + b, with no binomial.
-:func:`bell_transform` takes that route for rational c, and for
-Polynomial entries when every a*j + b of a nonzero c_j is 0 or 1: then there
-is no power to extend, y_n = sum_j c_j [y^(a*j+b)]_(n-j) is a linear
-recurrence (for a = 0, b = 1 the recurrence whose coefficients are c), and
-it runs over the entries' norms for B, then over ints packed at x = 2^B.
-So do the rewritten form and the oracle's window.  :func:`decompose` takes
-its lambdas from the recurrence itself, A(t) (1 - C(t)) mod t^d, and sums
-sum_j lambda_j y_(n-j) in the same ints, the lambdas scaled to ints, so
-its ring products do not grow with N.
-:func:`closed_row` computes every convolution closed form and the other
-windows with Polynomial entries.  Every value either route decodes is a
-Polynomial exactly when its degree is at least 1, and an int or a Fraction
-otherwise, whatever the types of the entries it came from.
-
-In :func:`closed_row`, D, the common denominator of c, makes every D*c_j
-an int or a Polynomial with int coefficients.  Polynomials are packed into
-one int each at x = 2^B (Kronecker substitution, as in Schoenhage 1982 and Harvey,
-J. Symbolic Comput. 44, 2009), so the table and the weighted column sums
-are plain int arithmetic for both rings.  B comes from a norm pass, the
-same sums over the table of ||D*c_j||_1 with |binom| weights, which bound
-every coefficient; each sum is unpacked once, as balanced base-2^B digits,
-and divided once, by the exact-int layer of :mod:`.ring`, which the
-functional equation and the composition oracle end in too.
-"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
 from .bellpoly import bell_eval  # noqa: F401  unused; bench/tracing.py wraps seq.bell_eval by name
 from .bellpoly import bell_closed_three_term
-from .ring import (Polynomial, Record, RingElement, X, _norm, _pack, _scale, _unpack,
-                   generalized_binomial, normalized)
+from .ring import (Polynomial, Record, RingElement, X, _norm, _pack, _scale, _unpack, blocks,
+                   generalized_binomial, normalized, price)
 
 __all__ = [
     "BellSequenceSpec",
@@ -181,16 +144,22 @@ def _scaled(c) -> tuple:
 _UNIT = ((1,),)  # the table to N = 0
 
 
-def _powers(entries, N: int, columns=_UNIT) -> list:
-    """Columns T[n][k] = [t^n] (sum_j e_j t^j)^k for 0 <= k <= n <= N (the
-    cells with k > n are zero), entries the (j, e_j) with j >= 1 and e_j an
-    int, ascending in j.
+def _slope(entries) -> tuple:
+    """(p, q), p/q = max deg(e_j)/j: entries whose indices sum to n multiply
+    to degree n p // q at most."""
+    p, q = 0, 1
+    for j, e in entries:
+        if isinstance(e, Polynomial) and e.degree * q > p * j:
+            p, q = e.degree, j
+    return p, q
 
-    columns holds T[0..M] for some M; the columns M+1..N are appended to a
-    copy, each from the ones before it, T[n][k] = sum_j e_j T[n-j][k-1], so
-    the given columns are never changed, and returned as they are when
-    M >= N.  That is O((N^2 - M^2) * len(entries)) int operations.
-    """
+
+def _powers(entries, N: int, columns=_UNIT) -> list:
+    """Columns T[n][k] = [t^n] (sum_j e_j t^j)^k, 0 <= k <= n <= N, entries
+    the (j, e_j), j >= 1 ascending, e_j an int.  columns holds T[0..M]; the
+    columns M+1..N are appended to a copy, T[n][k] = sum_j e_j T[n-j][k-1],
+    O((N^2 - M^2) len(entries)) int operations, and columns is returned as it
+    is when M >= N."""
     if len(columns) > N:
         return columns
     columns = list(columns)
@@ -206,54 +175,88 @@ def _powers(entries, N: int, columns=_UNIT) -> list:
     return columns
 
 
-# largest table T[n][k], 0 <= k <= n <= N, that _table builds, in cells,
-# (N + 1)(N + 2)/2 of them: N = 1000 is 501,501 cells, and the largest N
-# accepted is 1093; each cell's int grows with N, so such a row takes
-# seconds (README)
-MAX_TABLE_CELLS = 6 * 10**5
-
-# (c, D, entries, poly, T, (B, P)) of the last table, (B, P) its packed
-# table or (0, _UNIT): replaced, never changed
+# (c, D, entries, poly, T, (B, P), (N, r)) of the last table, (B, P) its
+# packed table or (0, _UNIT), priced as a row to index N at r: replaced,
+# never changed
 _last_table = None
 
 
-def _table(c, N: int, B: int = 0) -> tuple:
-    """The kept slot (c, D, entries, poly, T, (B', P)) for c: D and entries
-    those of :func:`_scaled` on the whole of c, poly whether an entry is a
-    Polynomial, T the columns of :func:`_powers` to N or beyond for the
-    entries, or for their norms ||e_j||_1 when poly, and P those for the
-    entries packed at x = 2^B'.  The slot is kept from now on: calls with an
-    equal c reuse it, or append the columns past its N, so D never changes
-    for a given c.  A constant Polynomial entry equals its scalar, so its c
-    shares the slot of the scalar's c, and either slot gives equal values.
+def _bits(spec: BellSequenceSpec, r: int, n: int, wide: int) -> tuple:
+    """(binom, lcm, B) at index n of :func:`closed_row`, max(1, D, S)^n <
+    2^(n wide/16), S = sum_j ||D c_j||_1: |binom(t, k-1)| < 2^binom, t = a n +
+    b k + r - 1, |t| <= T = (|a| + |b|) n + r, as it is at most 2^t for t >= 0,
+    2^(|t| + k) for t < 0 and (T + n)^n; L = lcm(1..n) < 3^n < 2^lcm (Hanson,
+    1972); so a column sum, n terms r binom (L/k) D^(n-k) T[n][k], |T[n][k]|
+    <= S^k, packs at x = 2^B."""
+    t = (abs(spec.a) + abs(spec.b)) * n + r
+    binom = min(t + n * (spec.a < 0 or spec.b < 0), n * (t + n).bit_length())
+    lcm_bits = -(-8 * n // 5)
+    return binom, lcm_bits, (n * r).bit_length() + binom + lcm_bits + -(-n * wide // 16) + 1
 
-    B = 0 extends T.  B > 0 extends P instead, reused whenever B' >= B (a
-    larger B' still packs exactly) and otherwise rebuilt at max(B, 2 B'),
-    so calls whose B rises rebuild it O(log B) times; a first call packs at
-    B.  The entries are normed or packed only when T or P must grow, so a
-    call that the slot already covers computes nothing."""
+
+def _closed_work(spec: BellSequenceSpec, r: int, N: int, D: int, entries, parts: int = 16):
+    """The products of closed_row(spec, r, range(N + 1)) from no table, as
+    :func:`price` reads them, by :func:`_bits` and :func:`_slope`.  Column n
+    takes n products per entry, of T[n][k] <= max(1, S)^n, and in P, of degree
+    n d, at most twice as wide as the B of index N; then lcm(1..n) and per k a
+    binomial, about bits(n) products as math.comb forms it by halves, two for
+    the weight and one for the sum; each value is held, formatted and decoded
+    as in :func:`_solve_work`."""
+    S = sum(_norm(e) for _, e in entries)
+    q, wide = (max(1, S) ** 16).bit_length(), (max(1, D, S) ** 16).bit_length()  # S^n < 2^(n q/16)
+    (dp, dq), width = _slope(entries), 0
+    for n, size in blocks(N, parts):
+        binom, lcm_bits, B = _bits(spec, r, n, wide)
+        width = width or 2 * B  # P's at most: the first block ends at N
+        powers, cell = n * (D - 1).bit_length() + 1, -(-n * q // 16)  # D^(n-k), T[n][k]
+        yield size * n * len(entries), q // 16 + 1, cell
+        if dp:
+            cell = (n * dp // dq + 1) * width
+            yield size * n * len(entries), (len(spec.c) * dp // dq + 1) * width, cell
+        yield size * n * n.bit_length(), binom, binom
+        yield size * n * 2, binom, lcm_bits
+        yield size * n, binom + lcm_bits, powers
+        yield size * n, r.bit_length() + binom + lcm_bits + powers, cell
+        yield size * (n * dp // dq + 1), width, width
+        yield 3 * size * (n * dp // dq + 1), 30, cell
+
+
+def _table(spec: BellSequenceSpec, r: int, N: int, B: int = 0) -> tuple:
+    """The kept slot for c = spec.c (see _last_table): D and entries of
+    :func:`_scaled`, poly, T the columns of :func:`_powers` to N or beyond for
+    the entries, or their norms when poly, and P for the entries packed at
+    2^B', shared by an equal c, a constant Polynomial's scalar included.  B = 0
+    extends T; B > 0 extends P, rebuilt below B' >= B at max(B, 2 B'), O(log B)
+    times, never wider than twice the B of the priced row.  A B = 0 call past
+    the index or r priced first prices a row by :func:`_closed_work`, to twice
+    that index (32 at least), or else to N, at the largest r asked: per-index
+    calls price O(log N) times, and a call the slot covers never."""
     global _last_table
-    cells = (N + 1) * (N + 2) // 2
-    if cells > MAX_TABLE_CELLS:
-        raise ValueError(
-            f"the closed form would build a table of {cells} cells, more than "
-            f"MAX_TABLE_CELLS = {MAX_TABLE_CELLS}"
-        )
+    c = spec.c
     last = _last_table
     if last is None or last[0] != c:
         D, entries = _scaled(c)
         poly = any(isinstance(e, Polynomial) for _, e in entries)
-        last = c, D, entries, poly, _UNIT, (0, _UNIT)
-    _, D, entries, poly, table, (width, packed) = last
-    if not B:
-        if len(table) <= N:
-            table = _powers([(j, _norm(e)) for j, e in entries] if poly else entries, N, table)
-    else:
+        last = c, D, entries, poly, _UNIT, (0, _UNIT), (-1, 0)
+    _, D, entries, poly, table, (width, packed), (paid, paid_r) = last
+    grow = not B and (N > paid or r > paid_r)
+    if grow:
+        paid_r = max(r, paid_r)
+        for paid in (max(N, 2 * paid, 32), N):
+            if price(partial(_closed_work, spec, paid_r, paid, D, entries),
+                     "the closed form" * (paid == N)):
+                break
+    if B:
+        if width >= B and len(packed) > N:
+            return last
         if width < B:
             width, packed = max(B, 2 * width), _UNIT
-        if len(packed) <= N:
-            packed = _powers([(j, _pack(e, width)) for j, e in entries], N, packed)
-    last = _last_table = c, D, entries, poly, table, (width, packed)
+        packed = _powers([(j, _pack(e, width)) for j, e in entries], N, packed)
+    elif len(table) > N and not grow:
+        return last
+    else:
+        table = _powers([(j, _norm(e)) for j, e in entries] if poly else entries, N, table)
+    last = _last_table = c, D, entries, poly, table, (width, packed), (paid, paid_r)
     return last
 
 
@@ -272,37 +275,25 @@ def _column(spec: BellSequenceSpec, r: int, n: int, D: int, column: list) -> tup
 
 
 def closed_row(spec: BellSequenceSpec, r: int, indices) -> list:
-    """r * sum_{k=1..n} binom(a*n + b*k + r-1, k-1) / k * [t^n] g^k (1 at n = 0)
-    for each n of indices, an increasing sequence of non-negative ints.
-
-    At r = 1 this is y_n, for r >= 1 the r-fold convolution of y at index n.
-    One table T[n][k] = [t^n] (D*g)^k serves every index; with L = lcm(1..n)
-    each value is the int sum_k r * binom * (L/k) * D^(n-k) * T[n][k],
-    unpacked when c has Polynomial entries and divided once by L * D^n.  The
-    norm pass bounds every coefficient of every sum, so B = bits(bound) + 1,
-    the +1 for the sign, keeps the packing exact, and each sum is decoded
-    with that B: a Polynomial exactly when its degree is at least 1.
-
-    The table depends on c alone, so the last one is kept for both rings
-    (see :func:`_table`): calls that walk n one index at a time, or r, build
-    one table between them, not one each.  One slot at most is kept, up to
-    the largest N asked of its c; it is replaced, never changed, so threads
-    may share it.  With Polynomial entries the slot holds the norm table and
-    the packed table with its B; the sums are unpacked with that B.  A table
-    of more than MAX_TABLE_CELLS cells is refused, by _table, before it is
-    built, whoever asks: a caller or bell_transform.
-    """
+    """r sum_{k=1..n} binom(a*n + b*k + r-1, k-1)/k [t^n] g^k (1 at n = 0) for
+    each n of indices, increasing non-negative ints: y_n at r = 1, the r-fold
+    convolution at n for r >= 1.  One table T[n][k] = [t^n] (D*g)^k serves
+    every index: each value is the int sum_k r binom (L/k) D^(n-k) T[n][k], L =
+    lcm(1..n), unpacked at B = bits(bound) + 1 from the same sums over the norm
+    table, and divided once by L D^n.  The table is kept for its c, for both
+    rings (see :func:`_table`), so per-index calls or calls over r build one
+    between them; a row priced past WORK is refused before its table is built."""
     if not indices:
         # no table either, so the kept slot of another c stays
         return []
     N = indices[-1]
-    _, D, _, poly, table, _ = _table(spec.c, N)
+    _, D, _, poly, table, _, _ = _table(spec, r, N)
     weights = [_column(spec, r, n, D, table[n]) for n in indices]
     B = 0
     if poly:
         bound = max((sum(abs(w) * table[n][k] for k, w in ws)
                      for n, (_, ws) in zip(indices, weights)))
-        B, table = _table(spec.c, N, bound.bit_length() + 1)[5]
+        B, table = _table(spec, r, N, bound.bit_length() + 1)[5]
     values = []
     for n, (L, ws) in zip(indices, weights):
         if n == 0:
@@ -316,29 +307,13 @@ def closed_row(spec: BellSequenceSpec, r: int, indices) -> list:
     return values
 
 
-# largest Miller work _solve accepts, in products: N(N + 1)/2 for each row
-# it extends, and the ints grow with N, so catalan at N = 1999 (one row,
-# 1,999,000 products) takes 4-5 s as a subprocess, no longer than the
-# largest table MAX_TABLE_CELLS accepts (README)
-MAX_MILLER_PRODUCTS = 2 * 10**6
-
-
 def _solve(spec: BellSequenceSpec, N: int, E: int, terms) -> list:
-    """z_0..z_N of z = 1 + sum_j v_j E^(j-1) t^j z^(a*j + b), terms the pairs
-    (j, v_j) of ints, ascending in j: with v_j = E c_j this is y(E t), so
-    z_m = E^m y_m.  Each z_m reads only z_0..z_(m-1), in one row per distinct
-    alpha = a*j + b, the row P = z^alpha: alpha = 0 is the series 1, alpha = 1
-    is z itself, and every other row is extended by Miller's recurrence
-    m P_m = sum_{i=1..m} ((alpha+1) i - m) z_i P_(m-i), exact in ints as z_0 = 1.
-    More than MAX_MILLER_PRODUCTS products over those rows are refused
-    before anything is built.
-    """
-    products = len({spec.a * j + spec.b for j, _ in terms} - {0, 1}) * N * (N + 1) // 2
-    if products > MAX_MILLER_PRODUCTS:
-        raise ValueError(
-            f"the functional equation would take {products} products in its power rows, "
-            f"more than MAX_MILLER_PRODUCTS = {MAX_MILLER_PRODUCTS}"
-        )
+    """z_0..z_N of z = 1 + sum_j v_j E^(j-1) t^j z^(a*j + b), terms the int
+    pairs (j, v_j) ascending in j: with v_j = E c_j this is y(E t), z_m = E^m
+    y_m.  z_m reads z_0..z_(m-1) through one row P = z^alpha per distinct
+    alpha = a*j + b: the series 1, z itself, or a row extended by Miller's
+    recurrence m P_m = sum_{i=1..m} ((alpha+1) i - m) z_i P_(m-i), exact in
+    ints as z_0 = 1."""
     z = [1]
     powers = {0: [1] + [0] * N, 1: z}
     terms = [(j, v * E ** (j - 1), powers.setdefault(spec.a * j + spec.b, [1])) for j, v in terms]
@@ -363,25 +338,81 @@ def _solve(spec: BellSequenceSpec, N: int, E: int, terms) -> list:
     return z
 
 
+def growth(spec: BellSequenceSpec, N: int, scaled=None) -> tuple:
+    """(E, q, h, d, rows) for c_1..c_N: E that of :func:`_scaled`, rows the
+    Miller rows of :func:`_solve`, d = :func:`_slope`, and every coefficient
+    of each z_m = E^m y_m and row entry P_m below 2^(ceil(m q/16) + h).
+
+    With S = sum_j ||E^j c_j||_1, the norm of g(E t), and M = max(1, S) <
+    2^(q'/16), q' = bits(M^16): with no Miller row, |z_m| <= sum_j |E^j c_j|
+    M^(m-j) <= M^m by induction.  Otherwise the closed form, a polynomial
+    identity in alpha and so true for every integer power, gives
+    |[t^m] z^alpha| <= |alpha| sum_{k<=m} |binom(t, k-1)| S^k/k, t = a m +
+    b k + alpha - 1, with |binom| <= 2^|t|, or 2^(|t| + k) for t < 0 (a, b
+    or alpha negative), and S^k <= M^m: below |alpha| m 2^((|a| + |b| + s)
+    m + |alpha| + 1) M^m, s = 1 in that case, z itself at alpha = 1."""
+    E, entries = scaled or _scaled(spec.c[:N])
+    alphas = {spec.a * j + spec.b for j, _ in entries} - {0, 1}
+    S = sum(_norm(e) * E ** (j - 1) for j, e in entries)
+    q, h = (max(1, S) ** 16).bit_length(), 1
+    if alphas:
+        A = max(map(abs, alphas))
+        q += 16 * (abs(spec.a) + abs(spec.b) + (min(spec.a, spec.b, *alphas) < 0))
+        h = A + 2 + (A * N).bit_length()
+    return E, q, h, _slope(entries), len(alphas)
+
+
+def _solve_work(spec: BellSequenceSpec, N: int, lambdas=0, room=0, parts=16, grown=None):
+    """The products of :func:`_functional_ints` to N as :func:`price` reads
+    them, by :func:`growth`: at each m a product per entry and per lambda;
+    per Miller row m products by a factor below (alpha + 2) N and m of
+    z_i P_(m-i), whose bits sum to those of z_m and 2 h more; the decode by
+    E^m < 2^(m bits(E - 1) + 1); and one product of the value with itself,
+    to hold and to format it, as CPython converts an int to text in time
+    quadratic in its digits.  Polynomial entries run once on the norms and
+    once packed at B <= bits(M^N) + 2 + room, degree m d, decoded a digit at
+    a time, three full-size steps a digit."""
+    E, q, h, (dp, dq), rows = grown or growth(spec, N)
+    B = -(-N * q // 16) + h + 1 + room
+    terms = len(spec.c[:N]) + lambdas
+    for m, size in blocks(N, parts):
+        top = -(-m * q // 16) + h
+        yield size * (terms + rows * m + 1), max(h, q // 16 + 1, m * (E - 1).bit_length() + 1), top
+        yield size * rows * m, top // 2 + h + 1, top // 2 + h + 1
+        if not dp:
+            yield size, top, top
+        else:
+            degree = m * dp // dq
+            yield size * terms, (len(spec.c) * dp // dq + 1) * B, (degree + 1) * B
+            yield 3 * size * (degree + 1), 30, (degree + 1) * B
+            yield size * (degree + 1), B, B
+
+
+def work(spec: BellSequenceSpec, N: int, r: int = 0, parts: int = 16, grown=None):
+    """The products of bell_transform(spec, N) (r = 0), or of
+    closed_row(spec, r, range(N + 1)) from no table, as :func:`price` reads
+    them; grown is :func:`growth` of (spec, N), if known."""
+    if r or _closed_window(spec, N):
+        return _closed_work(spec, r or 1, N, *_scaled(spec.c), parts)
+    return _solve_work(spec, N, parts=parts, grown=grown)
+
+
+def _closed_window(spec: BellSequenceSpec, N: int) -> bool:
+    """A Polynomial entry, and an alpha = a*j + b not 0 or 1 of a nonzero c_j, j <= N."""
+    return spec.ring == "polynomial" and not {
+        spec.a * j + spec.b for j, cj in enumerate(spec.c[:N], start=1) if cj} <= {0, 1}
+
+
 def _functional_ints(spec: BellSequenceSpec, N: int, lambdas=()) -> tuple:
-    """(E, B, z) for y_0..y_N from y = 1 + sum_j c_j t^j y^(a*j + b), for
-    rational c, and for Polynomial entries when every alpha = a*j + b of a
-    nonzero c_j is 0 or 1: E that of :func:`_scaled` on c_1..c_N, and z_m =
-    E^m y_m from :func:`_solve` as an int, packed at x = 2^B when y has
-    Polynomial entries; B leaves room for the sign of every z_m, so
-    _unpack(z_m, B, E^m) is y_m.
-
-    lambdas are ints or int-coefficient Polynomials l_j, j from 0: B leaves
-    room for every sum sum_j l_j E^j z_(n-j) packed at x = 2^B, as
-    bits(max ||z_m||_1) + 1 + bits(sum_j ||l_j||_1 E^j), the +1 for the sign.
-
-    With Polynomial entries there are no Miller rows, and z is linear in the
-    entries: the same recurrence on the norms ||E^j c_j||_1 bounds every
-    coefficient of every z_m, so one B serves the row, and it is run again on
-    the entries packed at x = 2^B.  No table is built.
-    """
+    """(E, B, z) for y_0..y_N from y = 1 + sum_j c_j t^j y^(a*j + b), unless
+    :func:`_closed_window`: E of :func:`_scaled` on c_1..c_N, z_m = E^m y_m from
+    :func:`_solve`, packed at x = 2^B for Polynomial entries, whose norm run
+    bounds B, which also packs sum_j l_j E^j z_(n-j) for the lambdas l_j (ints
+    or int Polynomials).  _unpack(z_m, B, E^m) is y_m.  Priced first."""
     E, entries = _scaled(spec.c[:N])
     room = sum(_norm(v) * E**j for j, v in enumerate(lambdas)).bit_length()
+    price(partial(_solve_work, spec, N, len(lambdas), room, grown=growth(spec, N, (E, entries))),
+          "the functional equation")
     if not any(isinstance(e, Polynomial) for _, e in entries):
         z = _solve(spec, N, E, entries)
         return E, max(map(abs, z)).bit_length() + 1 + room, z
@@ -392,19 +423,17 @@ def _functional_ints(spec: BellSequenceSpec, N: int, lambdas=()) -> tuple:
 
 def bell_transform(spec: BellSequenceSpec, N: int) -> SequenceWindow:
     """y_0..y_N of the family defined by spec, exactly: from the functional
-    equation for rational c and wherever every alpha = a*j + b of a nonzero
-    c_j (j <= N) is 0 or 1, which includes every linear recurrence (a = 0,
-    b = 1); from :func:`closed_row` at r = 1 otherwise.  Either way a value is
-    a Polynomial exactly when its degree is at least 1, so the constant y_1
-    of jacobsthal is the int 1:
+    equation, which includes every linear recurrence (a = 0, b = 1), unless
+    :func:`_closed_window` sends it to :func:`closed_row` at r = 1.  Either
+    way a value is a Polynomial exactly when its degree is at least 1, so
+    jacobsthal's constant y_1 is the int 1:
 
     >>> bell_transform(preset("jacobsthal")[0], 4).values
     (1, 1, Polynomial((1, 2)), Polynomial((1, 4)), Polynomial((1, 6, 4)))
     """
     if N < 0:
         raise ValueError("N must be non-negative")
-    if spec.ring == "polynomial" and not {
-            spec.a * j + spec.b for j, cj in enumerate(spec.c[:N], start=1) if cj} <= {0, 1}:
+    if _closed_window(spec, N):
         values = closed_row(spec, 1, range(N + 1))
     else:
         E, B, z = _functional_ints(spec, N)
@@ -413,17 +442,12 @@ def bell_transform(spec: BellSequenceSpec, N: int) -> SequenceWindow:
 
 
 def bell_transform_rewritten(spec: BellSequenceSpec, N: int) -> SequenceWindow:
-    """The k-from-0 rewrite of the same family:
-
-        y_n = sum_{k=0..n} binom(a*n+b*k+1, k) / (a*n+b*k+1) * k!/n! * B_{n,k}(...)
-
-    Defined only when a*n + b*k + 1 != 0 on the whole 0 <= k <= n <= N range;
-    the first offending pair (in lexicographic order) is reported otherwise.
-    Where defined it is :func:`bell_transform`: with t = a*n + b*k + 1 != 0,
-    binom(t, k)/t = binom(t-1, k-1)/k for k >= 1, and the k = 0 term is [n = 0].
-    The guard solves b*k = -(a*n + 1) for k once per n, so it is O(N); for
-    b = 0 every k vanishes with a*n + 1, and the first is k = 0.
-    """
+    """The k-from-0 rewrite, y_n = sum_{k=0..n} binom(a*n+b*k+1, k) /
+    (a*n+b*k+1) k!/n! B_{n,k}(...), defined only when a*n + b*k + 1 != 0 for
+    0 <= k <= n <= N; the first offending pair is reported otherwise.  Where
+    defined it is :func:`bell_transform`, as binom(t, k)/t = binom(t-1, k-1)/k
+    for k >= 1.  The guard solves b*k = -(a*n + 1) once per n; for b = 0 the
+    first k is 0."""
     for n in range(N + 1):
         t = spec.a * n + 1
         if not spec.b:
@@ -479,26 +503,15 @@ def fuss_catalan_closed(b: int, n: int) -> RingElement:
 
 
 def decompose(rec: RecurrenceSpec, N: int) -> tuple:
-    """Express the recurrence sequence as sum_j lambda_j * y_{n-j}.
-
-    y is the a=0, b=1 transform of the recurrence coefficients, so
-    Y(t) = 1/(1 - C(t)) and the lambdas are the coefficients of
-    A(t) (1 - C(t)) mod t^d: lambda_i = a_i - sum_{j=1..i} c_j a_(i-j) in
-    ring arithmetic, a zero Polynomial c_j taken as the int 0 (c =
-    (Polynomial(), -2), a = (2, 0) give (2, 0)), so they equal, types
-    included, the triangular solve over y_n = sum_j c_j y_(n-j) run in ring
-    arithmetic.  Returns (lambdas, reconstruction window over 0..N).
-
+    """Express the recurrence sequence as sum_j lambda_j y_{n-j}, y the a=0,
+    b=1 transform of its coefficients, Y(t) = 1/(1 - C(t)): the lambdas are
+    A(t) (1 - C(t)) mod t^d, lambda_i = a_i - sum_{j=1..i} c_j a_(i-j) in ring
+    arithmetic (a zero Polynomial c_j as the int 0), equal, types included, to
+    the triangular solve in ring arithmetic.  Returns (lambdas, window 0..N).
     The window is summed in ints: with z_m = E^m y_m from
-    :func:`_functional_ints`, L the lcm of the denominators of the lambdas
-    and lambda'_j = L lambda_j E^j, L E^n a_n = sum_{j <= min(n, d-1)}
-    lambda'_j z_(n-j), one int per n, decoded once.  The scaled lambdas
-    L lambda_j are passed to _functional_ints, whose B then packs every
-    such sum exactly, so z is solved once at that width, and each sum is
-    decoded with that B: a_n is a Polynomial exactly when its degree is at
-    least 1.  Only the lambdas take ring products, so their number does not
-    grow with N.
-    """
+    :func:`_functional_ints`, given the L lambda_j (L the lcm of their
+    denominators) for its B, L E^n a_n = sum_{j <= min(n, d-1)} L lambda_j E^j
+    z_(n-j), one int per n, decoded once."""
     d = rec.order
     if N < d - 1:
         raise ValueError(f"N must be at least d-1 = {d - 1}")

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bellseq import cli
 from bellseq.conv import check_row, shifted_convolution_closed
-from bellseq.ring import Polynomial, format_element, parse_element
+from bellseq.ring import WORK, Polynomial, format_element, parse_element, price
 from bellseq.seq import BellSequenceSpec, bell_transform, preset
 
 from _oracles import (
@@ -225,12 +225,29 @@ class TestUsageErrors:
         assert sum(line.startswith("usage:") for line in lines) == 1
 
     def test_check_refused_before_any_output(self):
-        # the oracle's 1200 parts pass, the closed side's table does not: it is
-        # priced at the last index, before the window and the first row
+        # the window, the walk and the closed side are priced together at the
+        # first report, before any of them is built and before the first row
         result = run_subprocess("conv", "--preset", "catalan", "--r", "1", "--n", "1200", "--check")
         assert result.returncode == 2
         assert result.stdout == ""
-        assert "MAX_TABLE_CELLS" in result.stderr
+        assert f"WORK = {WORK}" in result.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ("seq", "--a", "1", "--b", "0", "--c", "99999999999999999999999999999999999999,1", "--n", "500",
+         "--quiet"),
+        ("seq", "--a", "1", "--b", "0", "--c", "99999999999999999999999999999999999999,1", "--n", "1000",
+         "--quiet"),
+        ("bell", "--n", "4000", "--k", "4000", "--x", "1+x", "--quiet"),
+        ("bell", "--n", "1999999", "--k", "1999999", "--x", "12345678901234567890"),
+    ], ids=["miller_500", "miller_1000", "bell_power", "bell_scalar_power"])
+    def test_hang_class_is_refused_by_the_price(self, argv):
+        # each ran for half a minute or more before it was priced in bits;
+        # now the price refuses it before any work
+        result = run_subprocess(*argv)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        errors = [line for line in result.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"more than WORK = {WORK} units of work" in errors[0]
 
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                         reason="this interpreter converts ints of any length to text")
@@ -244,10 +261,12 @@ class TestUsageErrors:
         assert result.stdout == ""
         assert f"more than {sys.get_int_max_str_digits()} digits" in result.stderr
 
-    def test_bell_refused_by_a_lower_bound(self):
-        result = run_subprocess("bell", "--n", "20000", "--k", "10000", "--symbolic")
-        assert result.returncode == 2
-        assert "has at least 50015001 exponents" in result.stderr
+    def test_bell_refused_by_a_lower_bound(self, capsys, monkeypatch):
+        # p(n, k) >= floor((n - k)/2) + 1 = 5001 terms already pass WORK, so
+        # the partitions are never counted
+        monkeypatch.setattr(cli, "_partition_count", lambda n, k: pytest.fail("counted"))
+        assert cli.main(["bell", "--n", "20000", "--k", "10000", "--symbolic"]) == 2
+        assert f"B_(20000,10000) would take more than WORK = {WORK}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, shows", [
         (("-h",), ["seq", "conv", "decompose", "bell", "--format", "--quiet"]),
@@ -481,14 +500,14 @@ class TestBellSizeFuzz:
     @example((1200, 1200), False)
     @example((120, 30), True)
     # at k = 2 the lower bound that refuses first equals p(n, k): the largest
-    # n accepted, and the next n with more exponents
-    @example((2000, 2), True)
-    @example((2002, 2), True)
+    # n the price accepts, and the next n
+    @example((7670, 2), True)
+    @example((7671, 2), True)
     def test_exits_0_or_2(self, nk, symbolic):
         n, k = nk
-        xs = ",".join(["1", "-2", "1/3", "x"][i % 4] for i in range(n - k + 1))
+        xs = [["1", "-2", "1/3", "x"][i % 4] for i in range(n - k + 1)]
         argv = ["bell", "--n", str(n), "--k", str(k)]
-        argv += ["--symbolic"] if symbolic else [f"--x={xs}"]
+        argv += ["--symbolic"] if symbolic else [f"--x={','.join(xs)}"]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             try:
@@ -497,8 +516,11 @@ class TestBellSizeFuzz:
                 code = exc.code
         assert code in (0, 2), err.getvalue()
         assert "Traceback" not in err.getvalue()
-        price = max(n + 1, iterative_partition_count(n, k) * (n - k + 1))
-        refused = price > cli.MAX_BELL_EXPONENTS
+        # refused exactly when the price of the exact p(n, k) terms is past WORK
+        entries = [] if symbolic else list(map(parse_element, xs))
+        terms = iterative_partition_count(n, k)
+        each, once = cli._bell_work(n, k, entries)
+        refused = not price(lambda parts: once + [(terms * c, a, b) for c, a, b in each])
         assert (code == 2) == refused
 
 

@@ -19,7 +19,7 @@ from bellseq.conv import (
     shifted_convolution_closed,
     verify_theorem,
 )
-from bellseq.ring import Polynomial, X, generalized_binomial
+from bellseq.ring import WORK, Polynomial, X, generalized_binomial
 from bellseq.seq import BellSequenceSpec, SequenceWindow, bell_transform, closed_row, preset
 
 from _oracles import (
@@ -496,13 +496,14 @@ class TestVerifyTheorem:
             assert all(typed_by_degree(rep.lhs) and typed_by_degree(rep.rhs) for rep in reports)
 
     def test_row_past_the_price_is_refused_unbuilt(self):
-        # catalan r = 30, n = 60 is refused on its oracle's parts at the first
-        # next(), before the closed side builds or replaces any table
+        # catalan r = 30, n = 60 is refused on its walk's C(89, 60) compositions
+        # at the first next(), before the closed side builds or replaces any
+        # table
         closed_row(preset("motzkin")[0], 1, range(5))
         kept = seq._last_table
         row = check_row(preset("catalan")[0], 30, 60)
-        with pytest.raises(ValueError, match="MAX_ORACLE_PARTS"):
+        with pytest.raises(ValueError, match=f"the check row would take more than WORK = {WORK}"):
             next(row)
         assert seq._last_table is kept
-        with pytest.raises(ValueError, match="MAX_ORACLE_PARTS"):
+        with pytest.raises(ValueError, match=f"WORK = {WORK}"):
             verify_theorem(preset("catalan")[0], 30, 60)

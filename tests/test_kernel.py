@@ -20,9 +20,9 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bellseq import seq
-from bellseq.conv import convolution_closed, shifted_convolution_closed
-from bellseq.ring import Polynomial, X
+from bellseq import cli, seq
+from bellseq.conv import check_row, convolution_closed, shifted_convolution_closed
+from bellseq.ring import WORK, Polynomial, X, parse_element, price
 from bellseq.seq import (
     BellSequenceSpec,
     RecurrenceSpec,
@@ -36,6 +36,7 @@ from bellseq.seq import (
     decompose,
     fuss_catalan_closed,
     preset,
+    work,
 )
 
 from _oracles import (
@@ -302,26 +303,27 @@ def test_empty_row_keeps_the_slot():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: closed_row(preset("catalan")[0], 1, (1094,)),
+    lambda: closed_row(preset("catalan")[0], 1, (1200,)),
 ], ids=["closed_row"])
 def test_table_past_the_bound_is_refused_unbuilt(build):
-    # 1095 * 1096 / 2 = 600,060 cells, just past MAX_TABLE_CELLS; the slot stays
+    # the row to 1200 is priced past WORK (to 1094, once past a bound in
+    # cells, it builds in a fraction of a second); the slot stays
     closed_row(preset("catalan")[0], 1, range(20))
     kept = seq._last_table
-    with pytest.raises(ValueError, match="MAX_TABLE_CELLS = 600000"):
+    with pytest.raises(ValueError, match=f"the closed form would take more than WORK = {WORK}"):
         build()
     assert seq._last_table is kept
 
 
 def test_cancelling_recurrence_past_the_bound_builds_no_table():
     # y_n = y_(n-1) - y_(n-2) through a constant Polynomial c_2, whose terms
-    # cancel: its window to 1094, where the table is refused, comes from the
-    # recurrence, and the slot stays
+    # cancel: its window to 1200, where a closed row is refused, comes from
+    # the recurrence, and the slot stays
     closed_row(preset("catalan")[0], 1, range(20))
     kept = seq._last_table
-    values = bell_transform(BellSequenceSpec(0, 1, (1, Polynomial((-1,)))), 1094).values
+    values = bell_transform(BellSequenceSpec(0, 1, (1, Polynomial((-1,)))), 1200).values
     assert seq._last_table is kept
-    assert list(values) == [(1, 1, 0, -1, -1, 0)[n % 6] for n in range(1095)]
+    assert list(values) == [(1, 1, 0, -1, -1, 0)[n % 6] for n in range(1201)]
     assert_canonical(*values)
 
 
@@ -520,3 +522,44 @@ def test_threads_sweeping_different_c():
     for values, powers in zip(results, expected):
         for r, n, value in values:
             assert_exact(value, powers[r][n])
+
+
+def test_long_linear_window_is_refused():
+    # fibonacci to 200,000 would hold gigabytes of ints and format them in
+    # time quadratic in their digits; the price refuses it before the window
+    with pytest.raises(ValueError, match=f"the functional equation would take more than WORK = {WORK}"):
+        bell_transform(preset("fibonacci")[0], 200000)
+
+
+def test_wide_packed_row_is_never_kept():
+    # check_row(jacobsthal, 2, 300) once left a 111 MiB packed table in the
+    # slot; its row is priced past WORK, so it builds no table and the slot
+    # stays
+    closed_row(preset("catalan")[0], 1, range(20))
+    kept = seq._last_table
+    with pytest.raises(ValueError, match=f"WORK = {WORK}"):
+        next(check_row(preset("jacobsthal")[0], 2, 300))
+    assert seq._last_table is kept
+
+
+# the sizes the benchmark draws, with room for its widened coefficients
+bench_scalars = st.fractions(min_value=-20, max_value=20, max_denominator=3)
+bench_entries = st.one_of(bench_scalars, st.lists(bench_scalars, min_size=1, max_size=3).map(Polynomial))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-8, 8), st.integers(-8, 8), st.lists(bench_entries, min_size=1, max_size=4),
+       st.integers(0, 30), st.integers(1, 8), st.integers(1, 13), st.integers(0, 2))
+def test_benchmark_sizes_are_never_refused(a, b, c, N, r, n, delta):
+    # every route at the sizes of the four workloads' requests stays far
+    # inside WORK, so the price can never fail a benchmark job
+    spec = BellSequenceSpec(a or 1, b, tuple(c))
+    assert price(lambda parts: work(spec, N, 0, parts))
+    assert price(lambda parts: work(spec, N, r, parts))
+    next(check_row(BellSequenceSpec(0, 1, spec.c) if delta else spec, r, n, delta))
+    decompose(RecurrenceSpec(spec.c, tuple(range(len(c)))), N + len(c))
+    for xs in ([parse_element(str(v)) for v in c] * 12, ()):
+        for k in range(1, 13):
+            each, once = cli._bell_work(12, k, xs)
+            terms = cli._partition_count(12, k)
+            assert price(lambda parts: once + [(terms * c, a, b) for c, a, b in each])
