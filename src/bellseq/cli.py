@@ -30,6 +30,10 @@ from .seq import PRESET_NAMES, BellSequenceSpec, RecurrenceSpec
 # one exponent of a term costs about 10 products of one digit, 170 ns: the
 # steps that enumerate it, weigh it, and write or read it (README, "Limits")
 PASSES = 10
+# a coefficient product in Fraction arithmetic costs about 60 more products
+# of one digit, the gcds that reduce it: bell_eval_recurrence at n = 200,
+# k = 100 and every entry 1/3 took 3.5 s (README, "Limits")
+RING = 60
 
 
 def _element_list(text: str) -> list:
@@ -208,7 +212,7 @@ def _partition_count(n: int, k: int) -> int:
     return ways[n - k]
 
 
-def _bell_work(n: int, k: int, xs) -> tuple:
+def _bell_work(n: int, k: int, xs, cross_check: bool = False) -> tuple:
     """(each, once): the products of `bell` at (n, k) with --x xs, as price()
     reads them, for each term of B_{n,k} and once: n + 1 steps, over the
     multiplicities and powers to k <= n; PASSES for each of a term's n - k + 1
@@ -223,7 +227,16 @@ def _bell_work(n: int, k: int, xs) -> tuple:
     b_i <= k b_1 + (n - k) max_{i>=2} b_i/(i - 1), its degree likewise.
     Degrees d_1 + d_2 <= e take (d_1 + 1)(d_2 + 1) <= (e/2 + 1)^2 coefficient
     products, a term's nz products of degree d at most d^2 (nz - 1)/(2 nz) +
-    nz (d + 1)."""
+    nz (d + 1).  With cross_check, once more the recurrence of
+    bellpoly.bell_eval_recurrence: k (n - k + 1)^2 loop steps at most, and
+    where a value B_{m-i,k'-1} is nonzero, n - k + 1 at the first level
+    (B_{m,0} is zero but at m = 0) and at the last (m = n alone) and (n - k +
+    1)^2 at each other, a binomial binom(m - 1, i - 1), i <= n - k + 1, below
+    2^min(n, (n - k) bits(n)), and where x_i is nonzero that times x_i and
+    times the value, m - k' <= n - k and k' <= k, whose bits and degree are
+    at most those of B_{n,k}, in ring arithmetic: a coefficient product per
+    pair of coefficients, and RING more for each when an entry has a
+    Fraction."""
     slots = n - k + 1 if k <= n else 0
     each, once = [(slots * PASSES, 0, 0)], [(n + 1, 0, 0)]
     if not slots or not k:
@@ -237,8 +250,8 @@ def _bell_work(n: int, k: int, xs) -> tuple:
         rest = column[1:]
         most = any(rest) and min(k * max(rest), max(-(-(n - k) * b // j)
                                                     for j, b in enumerate(rest, 1)))
-        sizes.append((k * column[0], most, min(k * column[0] + most, k * max(column))))
-    (b1, b_most, bits), (d1, d_most, d) = sizes
+        sizes.append((k * column[0], most, min(k * column[0] + most, k * max(column)), max(column)))
+    (b1, b_most, bits, widest), (d1, d_most, d, deepest) = sizes
     nz = min(k, slots, isqrt(2 * n) + 1)
     value = min(n, min(k, n - k) * n.bit_length()) + (n - k) * (k - 1).bit_length() + bits + 2
     each.append((d * d * (nz - 1) // (2 * nz) + nz * (d + 1), value, value))
@@ -246,6 +259,13 @@ def _bell_work(n: int, k: int, xs) -> tuple:
     for count, b, e in ((min(k, slots), b1, d1),
                         (min(k * (slots - 1), (n - k) * (n - k).bit_length()), b_most, d_most)):
         once.append((3 * count * (e // 2 + 1) ** 2, b // 2 + 1, b // 2 + 1))
+    if cross_check:
+        # rows (k', m) whose cells are read with B_{m-i,k'-1} nonzero
+        rows, binom = max(k - 2, 0) * slots + 2, min(n, (n - k) * n.bit_length())
+        pairs = rows * sum(map(bool, us)) * (deepest + 1) * (d + 1)
+        once += [(k * slots * slots, 0, 0), (rows * slots, binom, binom),
+                 (rows * slots * (deepest + 1), binom, widest), (pairs, binom + widest, value),
+                 (pairs * (1 + RING * (D > 1)), 0, 0)]
     return each, once
 
 
@@ -257,7 +277,7 @@ def _cmd_bell(args, emitter) -> int:
         raise ValueError("--symbolic conflicts with --cross-check")
     if not args.symbolic and args.x is None:
         raise ValueError("either --symbolic or --x is required")
-    each, once = _bell_work(n, k, args.x or ())
+    each, once = _bell_work(n, k, args.x or (), args.cross_check)
 
     def work(terms):
         return lambda parts: once + [(terms * count, a, b) for count, a, b in each]

@@ -12,6 +12,7 @@ priced as one request, for ``conv --check`` and :func:`verify_theorem`."""
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from math import comb
 
@@ -305,34 +306,91 @@ def lemma_identity_check(alpha_coeffs, tau: int, n: int, k: int, xs) -> bool:
     return lhs == rhs
 
 
+def _affine(values: list) -> tuple:
+    """(v_0, p, q): v_m <= v_0 + m p/q for every m, p/q the least such slope,
+    0 at least, found by comparing products of ints."""
+    v0, p, q = values[0], 0, 1
+    for m, v in enumerate(values):
+        if (v - v0) * q > p * m:
+            p, q = v - v0, m
+    return v0, p, q
+
+
 def check_row(spec: BellSequenceSpec, r: int, N: int, delta: int = 0):
     """Oracle-vs-closed-form reports at (r, n), n = 1..N, one at a time; for
     delta > 0 (a=0, b=1 only) the closed side is the shifted form, one call per
     index to this module's function.  The window, the walk and the closed side
     are priced together at the first next(), before any is built.  At index n
-    the walk visits C(n + r - 1, r - 1) compositions of r parts, each a product
-    of the running product by a factor D y_m, D | E^n, whose bits sum, by
-    :func:`~bellseq.seq.growth` and sum_i ceil(m_i q/16) <= ceil(n q/16) + r,
-    to at most ceil(n q/16) + r (h + 2) + r n bits(E - 1); packed at B below
-    that plus n + r + 1 (the norm bound, r n^2 products, has C(n + r - 1,
-    r - 1) < 2^(n + r)), of degree n d + r, decoded as in seq.  Past n r =
-    WORK the binomial is taken as max(n, r), past WORK with r parts; at r =
-    1 the window is."""
+    the walk visits C(n + r - 1, r - 1) compositions of r parts (past n r =
+    WORK the binomial is taken as max(n, r)), each r products of the running
+    product by a factor D y_m, D the lcm of the window's denominators, whose
+    parts m sum to M = n - r delta where no factor is zero.  The walk is
+    priced first by :func:`~bellseq.seq.growth`'s bound on every |z_m|, D |
+    E^n, at r products of halves of their bits' sum, at most ceil(n q/16) + r
+    (h + 2) + r n bits(E - 1), packed at B below that plus n + r + 1, of
+    degree n d + r.  That bound is loose for wide a and b, so a row it prices
+    past WORK is priced again: with the walk at one small product a part,
+    and then, the window built, with the walk's bits read from the window,
+    before the closed side is built.  A product of the running
+    product by the j-th factor takes, as by schoolbook, the digits of the
+    factors before it times the factor's, so a composition at most sum_{i<j}
+    s_i s_j / 900 for factors of s_m bits.  Packed at B (0 for scalars), D
+    y_m has at most s_m = deg(y_m) B + bits(||D y_m||_1) + 31 bits, top
+    coefficient, carry and a digit's rounding included, and s_m <= s_0 +
+    slope m by the affine majorants (:func:`_affine`) of the degrees and the
+    bits, so the sum over the compositions of M has a closed form, as those
+    of sum_i m_i and sum_{i<j} m_i m_j do (coefficients of x/(1-x)^(r+1) and
+    x^2/(1-x)^(r+2)).  B = bits(sum_comp prod_i ||D y_(m_i)||_1) + 1 is below
+    r bits_0 + slope M + bits(C(M + r - 1, r - 1)) + 1 by the bits' majorant,
+    and a product has at most M d + 1 coefficients, decoded as in seq."""
     E, q, h, (dp, dq), _ = grown = growth(spec, N)
 
-    def walk(parts):
+    def walk(sizes, parts):
         for n, size in blocks(N, parts):
-            full = -(-n * q // 16) + r * (h + 2) + r * n * (E - 1).bit_length()
-            if dp:
-                yield size * (r - 1) * n * n, full, full
-                full = (n * dp // dq + r) * (full + n + r + 1)
-                yield 3 * size * (n * dp // dq + r), 30, full
             count = comb(n + r - 1, n) if n * r <= WORK else max(n, r)
-            yield size * r * count, full // 2, full // 2
+            if sizes is None:
+                # by growth's bound, D | E^n and sum_i ceil(m_i q/16) <= ceil(n q/16) + r
+                full = -(-n * q // 16) + r * (h + 2) + r * n * (E - 1).bit_length()
+                if dp:
+                    yield size * (r - 1) * n * n, full, full
+                    full = (n * dp // dq + r) * (full + n + r + 1)
+                    yield 3 * size * (n * dp // dq + r), 30, full
+                yield size * r * count, full // 2, full // 2
+                continue
+            yield size * r * count, 0, 0
+            if not sizes:
+                continue
+            (b0, bp, bq), (d0, ep, eq) = sizes
+            M = max(n - r * delta, 0)
+            B = 0
+            if dp:
+                B = -(-(r * b0 * bq + bp * M) // bq) + comb(M + r - 1, M).bit_length() + 1
+                yield size * (r - 1) * M * M, B, B
+                yield 3 * size * (M * dp // dq + 1), 30, (M * dp // dq + 1) * B
+            # s_0 and the slope, both times bq eq
+            s0, step = (B * d0 + b0 + 31) * bq * eq, B * ep * bq + bp * eq
+            pairs = comb(r, 2) * (s0 * s0 * comb(M + r - 1, M) + 2 * s0 * step * comb(M + r - 1, r)
+                                  + step * step * comb(M + r - 1, r + 1))
+            yield size * count, 0, 30 * -(-pairs // (900 * count * (bq * eq) ** 2))
 
     shifted = BellSequenceSpec(0, 1, spec.c) if delta else spec
-    price(lambda parts: chain(work(spec, N, 0, parts, grown), walk(parts),
-                              work(shifted, max(N - delta * r, 0), r, parts)), "the check row")
+
+    @cache
+    def sides(parts):
+        return list(chain(work(spec, N, 0, parts, grown), work(shifted, max(N - delta * r, 0), r, parts)))
+
+    def row(sizes):
+        return lambda parts: chain(sides(parts), walk(sizes, parts))
+
+    loose = not price(row(None))
+    if loose:
+        price(row(()), "the check row")
+    window = bell_transform(spec, N)
+    if loose:
+        scaled = _scale(window.values)[1]
+        bits = [_norm(v).bit_length() for v in scaled]
+        degrees = [getattr(v, "degree", 0) for v in scaled]
+        price(row((_affine(bits), _affine(degrees))), "the check row")
 
     def closed(n):
         if delta > 0:
@@ -340,7 +398,6 @@ def check_row(spec: BellSequenceSpec, r: int, N: int, delta: int = 0):
         return convolution_closed(spec, r, n)
 
     last = closed(N) if N else None
-    window = bell_transform(spec, N)
     for n in range(1, N + 1):
         lhs = convolution_oracle(window, r, n, delta)
         yield ConvolutionReport(r, n, lhs, last if n == N else closed(n))

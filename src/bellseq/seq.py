@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import lcm
+from itertools import accumulate, repeat
+from math import gcd, lcm, prod
+from operator import mul
 
 from .bellpoly import bell_eval  # noqa: F401  unused; bench/tracing.py wraps seq.bell_eval by name
 from .bellpoly import bell_closed_three_term
@@ -175,8 +177,9 @@ def _powers(entries, N: int, columns=_UNIT) -> list:
     return columns
 
 
-# (c, D, entries, poly, T, (B, P), (N, r)) of the last table, (B, P) its
-# packed table or (0, _UNIT), priced as a row to index N at r: replaced,
+# (c, D, entries, poly, T, (B, P), (N, r), L, powers) of the last table, (B,
+# P) its packed table or (0, _UNIT), priced as a row to index N at r, L the
+# lcm(1..n) and powers the D^n as far as T at least, () for D = 1: replaced,
 # never changed
 _last_table = None
 
@@ -196,27 +199,48 @@ def _bits(spec: BellSequenceSpec, r: int, n: int, wide: int) -> tuple:
 
 def _closed_work(spec: BellSequenceSpec, r: int, N: int, D: int, entries, parts: int = 16):
     """The products of closed_row(spec, r, range(N + 1)) from no table, as
-    :func:`price` reads them, by :func:`_bits` and :func:`_slope`.  Column n
-    takes n products per entry, of T[n][k] <= max(1, S)^n, and in P, of degree
-    n d, at most twice as wide as the B of index N; then lcm(1..n) and per k a
-    binomial, about bits(n) products as math.comb forms it by halves, two for
-    the weight and one for the sum; each value is held, formatted and decoded
-    as in :func:`_solve_work`."""
+    :func:`price` reads them, by :func:`_bits` and :func:`_slope`.  As the
+    entries' indices j_1 < ... lie in [j_min, j_max], T[n][k] is zero but for
+    k j_min <= n <= k j_max, at most n (j_max - j_min)/(j_min j_max) + 1
+    cells, k apart by multiples of d = g/gcd(g, j_min), g = gcd(j - j_min),
+    as k j_min = n mod g.  Column n takes a loop step per entry and per k, and
+    per cell a product per entry, of T[n][k] <= max(1, S)^n, and in P, of
+    degree n d, at most twice as wide as the B of index N; then per cell a
+    weight: at most two cells of a column (its first, and the first after the
+    one run of k with 0 <= t < k - 1, where the binomial is zero) form the
+    binomial by math.comb, about bits(n) products as it works by halves,
+    times r L/k; any other steps from the cell before, F = d (|b| + |b - 1| +
+    1) factors below 2^bits(T + n) multiplied up and a product and a division
+    of the weight by them, or else forms a binomial below 2^(_STEP_BITS + 16
+    F) by comb; then D^(n-k) and one product for the sum; each value is held,
+    formatted and decoded as in :func:`_solve_work`."""
     S = sum(_norm(e) for _, e in entries)
     q, wide = (max(1, S) ** 16).bit_length(), (max(1, D, S) ** 16).bit_length()  # S^n < 2^(n q/16)
     (dp, dq), width = _slope(entries), 0
+    low, high = entries[0][0] if entries else 1, entries[-1][0] if entries else 1
+    g = gcd(*(j - low for j, _ in entries))
+    F = (g // gcd(g, low) or 1) * (abs(spec.b) + abs(spec.b - 1) + 1)
     for n, size in blocks(N, parts):
         binom, lcm_bits, B = _bits(spec, r, n, wide)
         width = width or 2 * B  # P's at most: the first block ends at N
         powers, cell = n * (D - 1).bit_length() + 1, -(-n * q // 16)  # D^(n-k), T[n][k]
-        yield size * n * len(entries), q // 16 + 1, cell
+        cells = min(n, n * (high - low) // (low * high) + 1) if entries else 0
+        falls, narrow = min(cells, 2), min(binom, _STEP_BITS + 16 * F)
+        steps, weight = cells - falls, r.bit_length() + binom + lcm_bits + powers
+        factors = F * ((abs(spec.a) + abs(spec.b) + 1) * n + r).bit_length()
+        yield size * n * (len(entries) + 1), 0, 0
+        yield size * cells * len(entries), q // 16 + 1, cell
         if dp:
             cell = (n * dp // dq + 1) * width
-            yield size * n * len(entries), (len(spec.c) * dp // dq + 1) * width, cell
-        yield size * n * n.bit_length(), binom, binom
-        yield size * n * 2, binom, lcm_bits
-        yield size * n, binom + lcm_bits, powers
-        yield size * n, r.bit_length() + binom + lcm_bits + powers, cell
+            yield size * cells * len(entries), (len(spec.c) * dp // dq + 1) * width, cell
+        yield size * falls * n.bit_length(), binom, binom
+        yield size * steps * n.bit_length(), narrow, narrow
+        yield size * cells, binom, lcm_bits
+        yield size * steps * F, factors, 30
+        yield size * steps * 2, weight, factors
+        if D > 1:
+            yield size * cells, binom + lcm_bits, powers
+        yield size * cells, weight, cell
         yield size * (n * dp // dq + 1), width, width
         yield 3 * size * (n * dp // dq + 1), 30, cell
 
@@ -224,21 +248,23 @@ def _closed_work(spec: BellSequenceSpec, r: int, N: int, D: int, entries, parts:
 def _table(spec: BellSequenceSpec, r: int, N: int, B: int = 0) -> tuple:
     """The kept slot for c = spec.c (see _last_table): D and entries of
     :func:`_scaled`, poly, T the columns of :func:`_powers` to N or beyond for
-    the entries, or their norms when poly, and P for the entries packed at
-    2^B', shared by an equal c, a constant Polynomial's scalar included.  B = 0
-    extends T; B > 0 extends P, rebuilt below B' >= B at max(B, 2 B'), O(log B)
-    times, never wider than twice the B of the priced row.  A B = 0 call past
-    the index or r priced first prices a row by :func:`_closed_work`, to twice
-    that index (32 at least), or else to N, at the largest r asked: per-index
-    calls price O(log N) times, and a call the slot covers never."""
+    the entries, or their norms when poly, P for the entries packed at 2^B',
+    and, as far as T at least, L_n = lcm(1..n) carried as lcm(L_(n-1), n)
+    and D^n as D D^(n-1) (none for D = 1), shared by an equal c, a constant
+    Polynomial's scalar included.  B = 0 extends T, L and the powers; B > 0 extends P, rebuilt below B' >= B at max(B, 2 B'),
+    O(log B) times, never wider than twice the B of the priced row.  A B = 0
+    call past the index or r priced first prices a row by
+    :func:`_closed_work`, to twice that index (32 at least), or else to N, at
+    the largest r asked: per-index calls price O(log N) times, and a call the
+    slot covers never."""
     global _last_table
     c = spec.c
     last = _last_table
     if last is None or last[0] != c:
         D, entries = _scaled(c)
         poly = any(isinstance(e, Polynomial) for _, e in entries)
-        last = c, D, entries, poly, _UNIT, (0, _UNIT), (-1, 0)
-    _, D, entries, poly, table, (width, packed), (paid, paid_r) = last
+        last = c, D, entries, poly, _UNIT, (0, _UNIT), (-1, 0), (1,), (1,) if D > 1 else ()
+    _, D, entries, poly, table, (width, packed), (paid, paid_r), lcms, powers = last
     grow = not B and (N > paid or r > paid_r)
     if grow:
         paid_r = max(r, paid_r)
@@ -256,22 +282,72 @@ def _table(spec: BellSequenceSpec, r: int, N: int, B: int = 0) -> tuple:
         return last
     else:
         table = _powers([(j, _norm(e)) for j, e in entries] if poly else entries, N, table)
-    last = _last_table = c, D, entries, poly, table, (width, packed), (paid, paid_r)
+        if len(lcms) < len(table):
+            # to twice their length at least, so that per-index calls carry O(log N) times
+            size = max(len(table), 2 * len(lcms))
+            lcms = _carry(lcms, range(len(lcms), size), lcm)
+            if powers:
+                powers = _carry(powers, repeat(D, size - len(powers)), mul)
+    last = _last_table = c, D, entries, poly, table, (width, packed), (paid, paid_r), lcms, powers
     return last
 
 
-def _column(spec: BellSequenceSpec, r: int, n: int, D: int, column: list) -> tuple:
-    """(L, weights) for index n >= 1 and column T[n]: L = lcm(1..n) and the
-    pairs (k, r * binom(a*n + b*k + r-1, k-1) * L/k * D^(n-k)) over the k
-    with T[n][k] and the binomial nonzero."""
-    L = lcm(*range(1, n + 1))
+def _carry(values: tuple, steps, step) -> tuple:
+    """values extended by step(last, s) for each s of steps, from its last entry."""
+    return values + tuple(accumulate(steps, step, initial=values[-1]))[1:]
+
+
+# A step of d cells along a column takes F = d (|b| + |b - 1| + 1) small
+# factors, one int product and one exact division by their product; a fallback
+# forms the binomial afresh by math.comb, in time that grows faster than its
+# bits, and multiplies it by r L/k D^(n-k).  A cell steps from a weight of more
+# than _STEP_BITS + 16 F bits.  Measured in CPython 3.11 (2-vCPU VM) over the
+# weights of 30 random rows, |a|, |b| <= 6 and up to four entries: at N 40-80
+# every threshold from 0 to no stepping at all took 27-28 ms, so small rows
+# neither gain nor lose; at N 150-250 16 bits a factor took 271 ms, 64 bits
+# 408 ms and no stepping 783 ms.
+_STEP_BITS = 128
+
+
+def _column(spec: BellSequenceSpec, r: int, n: int, L: int, powers, column: list) -> list:
+    """The pairs (k, w_k), w_k = r binom(a*n + b*k + r-1, k-1) L/k D^(n-k),
+    for index n, L = lcm(1..n), powers[i] = D^i or () for D = 1, and column
+    T[n], over the k with T[n][k] and the binomial nonzero.  r L is formed
+    once.  A weight steps from the last one, w at k0 = k - d with binom(u0,
+    k0 - 1), to u = u0 + d b, m = k - 1: the falling factorial u(u-1)...(u-m+1)
+    is that of u0 with the factors between the old and the new bottom and top
+    put in (num) or taken out (den), d |b| + d |b - 1| of them, so w_k = w num
+    / (den (k0 + 1)...k D^d), an exact division.  A cell falls back to
+    generalized_binomial where the step costs more than that call (see
+    _STEP_BITS) and where a factor of den is zero."""
+    rL, b, base = r * L, spec.b, spec.a * n + r - 1
+    least, per_cell = _STEP_BITS, 16 * (abs(b) + abs(b - 1) + 1)  # bits a step needs
     weights = []
+    weight, k0, u0 = 0, 0, 0
     for k in range(1, n + 1):
-        if column[k]:
-            binom = generalized_binomial(spec.a * n + spec.b * k + r - 1, k - 1)
-            if binom:
-                weights.append((k, r * binom * (L // k) * D ** (n - k)))
-    return L, weights
+        if not column[k]:
+            continue
+        u = base + b * k
+        if 0 <= u < k - 1:
+            continue  # u(u-1)...(u-k+2) has the factor 0
+        if k0 and weight.bit_length() > least + per_cell * (k - k0):
+            # the bottom factor u - k + 2 moves by (k - k0) (b - 1), the top u by (k - k0) b
+            if b > 0:
+                num, den = prod(range(u0 + 1, u + 1)), prod(range(u0 - k0 + 2, u - k + 2))
+            else:
+                num, den = prod(range(u - k + 2, u0 - k0 + 2)), prod(range(u + 1, u0 + 1))
+            if den:
+                den *= prod(range(k0 + 1, k + 1))
+                weight = weight * num // (den * powers[k - k0] if powers else den)
+                k0, u0 = k, u
+                weights.append((k, weight))
+                continue
+        weight = generalized_binomial(u, k - 1) * (rL // k)
+        if powers:
+            weight *= powers[n - k]
+        k0, u0 = k, u
+        weights.append((k, weight))
+    return weights
 
 
 def closed_row(spec: BellSequenceSpec, r: int, indices) -> list:
@@ -280,22 +356,25 @@ def closed_row(spec: BellSequenceSpec, r: int, indices) -> list:
     convolution at n for r >= 1.  One table T[n][k] = [t^n] (D*g)^k serves
     every index: each value is the int sum_k r binom (L/k) D^(n-k) T[n][k], L =
     lcm(1..n), unpacked at B = bits(bound) + 1 from the same sums over the norm
-    table, and divided once by L D^n.  The table is kept for its c, for both
-    rings (see :func:`_table`), so per-index calls or calls over r build one
-    between them; a row priced past WORK is refused before its table is built."""
+    table, and divided once by L D^n.  The weights come from carried state:
+    L and the powers of D from the kept slot, and each binomial stepped along
+    k from the one before it (see :func:`_column`).
+    The table is kept for its c, for both rings (see :func:`_table`), so
+    per-index calls or calls over r build one between them; a row priced past
+    WORK is refused before its table is built."""
     if not indices:
         # no table either, so the kept slot of another c stays
         return []
     N = indices[-1]
-    _, D, _, poly, table, _, _ = _table(spec, r, N)
-    weights = [_column(spec, r, n, D, table[n]) for n in indices]
+    _, D, _, poly, table, _, _, lcms, powers = _table(spec, r, N)
+    weights = ((n, _column(spec, r, n, lcms[n], powers, table[n])) for n in indices)
     B = 0
     if poly:
-        bound = max((sum(abs(w) * table[n][k] for k, w in ws)
-                     for n, (_, ws) in zip(indices, weights)))
+        weights = list(weights)
+        bound = max(sum(abs(w) * table[n][k] for k, w in ws) for n, ws in weights)
         B, table = _table(spec, r, N, bound.bit_length() + 1)[5]
     values = []
-    for n, (L, ws) in zip(indices, weights):
+    for n, ws in weights:
         if n == 0:
             values.append(1)
             continue
@@ -303,7 +382,7 @@ def closed_row(spec: BellSequenceSpec, r: int, indices) -> list:
         total = 0
         for k, w in ws:
             total += w * column[k]
-        values.append(_unpack(total, B, L * D**n))
+        values.append(_unpack(total, B, lcms[n] * powers[n] if powers else lcms[n]))
     return values
 
 

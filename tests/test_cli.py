@@ -227,7 +227,7 @@ class TestUsageErrors:
     def test_check_refused_before_any_output(self):
         # the window, the walk and the closed side are priced together at the
         # first report, before any of them is built and before the first row
-        result = run_subprocess("conv", "--preset", "catalan", "--r", "1", "--n", "1200", "--check")
+        result = run_subprocess("conv", "--preset", "catalan", "--r", "1", "--n", "2000", "--check")
         assert result.returncode == 2
         assert result.stdout == ""
         assert f"WORK = {WORK}" in result.stderr
@@ -248,6 +248,17 @@ class TestUsageErrors:
         assert result.stdout == ""
         errors = [line for line in result.stderr.splitlines() if "error:" in line]
         assert len(errors) == 1 and f"more than WORK = {WORK} units of work" in errors[0]
+
+    def test_cross_check_is_priced(self):
+        # --cross-check runs bellpoly's recurrence, k (n - k + 1)^2 ring
+        # products: here 19 s before it was priced, against 0.6 s for the
+        # value alone, which stays accepted
+        argv = ("bell", "--n", "20000", "--k", "19960", "--x", ",".join(["1"] * 41))
+        assert run_subprocess(*argv, "--quiet").returncode == 0
+        result = run_subprocess(*argv, "--cross-check")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert f"B_(20000,19960) would take more than WORK = {WORK} units of work" in result.stderr
 
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                         reason="this interpreter converts ints of any length to text")

@@ -15,14 +15,15 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bellseq import cli, seq
 from bellseq.conv import check_row, convolution_closed, shifted_convolution_closed
-from bellseq.ring import WORK, Polynomial, X, parse_element, price
+from bellseq.ring import WORK, Polynomial, X, generalized_binomial, parse_element, price
 from bellseq.seq import (
     BellSequenceSpec,
     RecurrenceSpec,
@@ -289,6 +290,44 @@ def assert_matches_table(spec, r, N):
     assert_canonical(*values)
 
 
+# few entries, zeros among them, so that columns have gaps: c = (1, 0, 1)
+# leaves every other cell zero, and a one-entry c one cell a column
+sparse_entries = st.lists(st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]),
+                          min_size=1, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-6, 6), st.integers(-6, 6), sparse_entries, st.integers(1, 8), st.integers(0, 40),
+       st.randoms(use_true_random=False))
+# binom(2k - 20, k - 1): negative, zero for k = 10..18, nonzero again from 19
+@example(-1, 2, [1], 1, 40, Random(0))
+@example(1, 0, [1, 0, 1], 2, 40, Random(0))
+@example(0, 4, [1], 3, 40, Random(0))
+@example(-6, -6, [2, 1], 8, 40, Random(0))
+def test_stepped_weights_equal_binomials(a, b, c, r, N, rng):
+    # every weight of _column, whether stepped along k or formed afresh,
+    # equals r binom(a n + b k + r - 1, k - 1) L/k D^(n-k) from
+    # generalized_binomial, cell by cell, over table columns with random
+    # cells zeroed, at the kernel's own step rule and at a rule that steps
+    # wherever the divisor has no zero factor; the slot's L_n is lcm(1..n)
+    spec = BellSequenceSpec(a or 1, b, tuple(c))
+    closed_row(spec, r, range(N + 1))
+    _, D, _, _, table, _, _, lcms, powers = seq._last_table
+    assert list(lcms[:N + 1]) == [lcm(*range(1, n + 1)) for n in range(N + 1)]
+    assert list(powers[:N + 1]) == ([D**n for n in range(N + 1)] if D > 1 else [])
+    columns = [[cell if rng.random() < 0.8 else 0 for cell in table[n]] for n in range(N + 1)]
+    expected = [[(k, r * binom * (lcms[n] // k) * D ** (n - k)) for k in range(1, n + 1)
+                 if column[k] and (binom := generalized_binomial(spec.a * n + b * k + r - 1, k - 1))]
+                for n, column in enumerate(columns)]
+    rule = seq._STEP_BITS
+    try:
+        for seq._STEP_BITS in (rule, -10**9):
+            assert [seq._column(spec, r, n, lcms[n], powers, column)
+                    for n, column in enumerate(columns)] == expected
+    finally:
+        seq._STEP_BITS = rule
+
+
 def test_empty_row_with_polynomial_entries():
     # the norm bound of no index at all; conv --n 0 --closed-only asks for it
     assert closed_row(preset("jacobsthal")[0], 2, []) == []
@@ -303,11 +342,11 @@ def test_empty_row_keeps_the_slot():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: closed_row(preset("catalan")[0], 1, (1200,)),
+    lambda: closed_row(preset("catalan")[0], 1, (2000,)),
 ], ids=["closed_row"])
 def test_table_past_the_bound_is_refused_unbuilt(build):
-    # the row to 1200 is priced past WORK (to 1094, once past a bound in
-    # cells, it builds in a fraction of a second); the slot stays
+    # the row to 2000 is priced past WORK (the row to 1801 is accepted, about
+    # 8 s as conv --closed-only); the slot stays
     closed_row(preset("catalan")[0], 1, range(20))
     kept = seq._last_table
     with pytest.raises(ValueError, match=f"the closed form would take more than WORK = {WORK}"):
@@ -550,6 +589,8 @@ bench_entries = st.one_of(bench_scalars, st.lists(bench_scalars, min_size=1, max
 @settings(max_examples=60, deadline=None)
 @given(st.integers(-8, 8), st.integers(-8, 8), st.lists(bench_entries, min_size=1, max_size=4),
        st.integers(0, 30), st.integers(1, 8), st.integers(1, 13), st.integers(0, 2))
+# its check row was once priced past WORK by the walk's bound, at 0.3 s of work
+@example(0, 6, [4 * X], 30, 8, 13, 0)
 def test_benchmark_sizes_are_never_refused(a, b, c, N, r, n, delta):
     # every route at the sizes of the four workloads' requests stays far
     # inside WORK, so the price can never fail a benchmark job
