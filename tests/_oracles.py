@@ -204,6 +204,18 @@ def compositions_bruteforce(n, r):
     return [c for c in itertools.product(range(n + 1), repeat=r) if sum(c) == n]
 
 
+def compositions_in_order(n, r):
+    """The r-part compositions of n in reverse-lexicographic order, one at a
+    time: the first part runs from n down to 0, each followed by the
+    compositions of the rest into r - 1 parts."""
+    if r == 1:
+        yield (n,)
+        return
+    for first in range(n, -1, -1):
+        for rest in compositions_in_order(n - first, r - 1):
+            yield (first,) + rest
+
+
 def convolution_bruteforce(values, r, n, delta=0):
     """Independent composition-sum oracle over an index->value list."""
     total = 0

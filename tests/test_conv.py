@@ -1,5 +1,8 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb
 
 import pytest
@@ -24,6 +27,7 @@ from bellseq.seq import BellSequenceSpec, SequenceWindow, bell_transform, closed
 
 from _oracles import (
     compositions_bruteforce,
+    compositions_in_order,
     convolution_bruteforce,
     is_canonical,
     random_fraction,
@@ -65,6 +69,42 @@ class TestCompositions:
             list(compositions(-1, 2))
         with pytest.raises(ValueError):
             list(compositions(3, 0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda r: st.tuples(st.integers(0, 24 - r), st.just(r))))
+# tails of three parts (r = 5) and of four (r = 6, 8); the tails stay within
+# 4096 tuples, so r = 6 takes four-part tails up to n = 15 (3876 tuples) and
+# three-part ones at n = 16, and r = 5 three-part tails up to n = 27 (4060)
+# and the odometer at n = 28
+@example((13, 5))
+@example((13, 6))
+@example((13, 8))
+@example((15, 6))
+@example((16, 6))
+@example((27, 5))
+@example((28, 5))
+def test_compositions_in_order(case):
+    n, r = case
+    count = 0
+    for count, (got, expected) in enumerate(
+        zip_longest(compositions(n, r), compositions_in_order(n, r)), start=1
+    ):
+        assert got == expected, (count, got, expected)
+    assert count == comb(n + r - 1, r - 1)
+
+
+def test_first_composition_comes_at_once():
+    # 2000 into 6 parts: tails of two parts or more would hold millions of
+    # tuples, so the walk starts on the odometer; the child's memory is capped,
+    # so tails built past the cap fail it at once instead of filling the host
+    code = (
+        "import resource; resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))\n"
+        "from bellseq.conv import compositions; print(next(compositions(2000, 6)))"
+    )
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "(2000, 0, 0, 0, 0, 0)\n"
 
 
 class TestOracle:
@@ -133,6 +173,12 @@ windows = st.one_of(window_values.map(SequenceWindow), spec_windows)
 # q^r x^M, so the sum's one coefficient is the whole norm bound, r-fold
 # power, with the sign of (-1)^r
 MONOMIALS = SequenceWindow([-(7**9) * X**i for i in range(8)])
+RATIONAL_WITH_ZERO = SequenceWindow(
+    [Fraction(1, 2), -1, 3, 0, Fraction(-2, 3), 1, 2, Fraction(5, 4), -3, 1, Fraction(1, 6), 2]
+)
+POLYNOMIAL_WITH_ZERO = SequenceWindow(
+    [1 + X, 2, X, Polynomial(), X**2 - 1, 3, -X, 1, 2 * X + 1, Fraction(1, 2), X, 1 - X]
+)
 
 
 @settings(max_examples=120, deadline=None)
@@ -156,6 +202,16 @@ MONOMIALS = SequenceWindow([-(7**9) * X**i for i in range(8)])
 @example(SequenceWindow([1, 0, 2, 0, 3]), 3, 4, 0)
 # delta = 0, no zero value: the fold with no branch
 @example(SequenceWindow([1, 1 + X, 2 * X, 3]), 3, 3, 0)
+# walks of runs of tails, three parts at r = 5 and four at r = 6 and 8, in
+# both rings, with a zero y among the values
+@example(RATIONAL_WITH_ZERO, 5, 11, 2)
+@example(RATIONAL_WITH_ZERO, 6, 8, 1)
+@example(RATIONAL_WITH_ZERO, 6, 7, 0)
+@example(RATIONAL_WITH_ZERO, 8, 4, 0)
+@example(POLYNOMIAL_WITH_ZERO, 5, 11, 2)
+@example(POLYNOMIAL_WITH_ZERO, 6, 8, 1)
+@example(POLYNOMIAL_WITH_ZERO, 6, 7, 0)
+@example(POLYNOMIAL_WITH_ZERO, 8, 4, 0)
 def test_oracle_matches_bruteforce(window, r, n, delta):
     n = min(n, window.last_index)
     values = window.values
@@ -495,7 +551,7 @@ class TestVerifyTheorem:
             assert all(rep.matched for rep in reports)
             assert all(typed_by_degree(rep.lhs) and typed_by_degree(rep.rhs) for rep in reports)
 
-    def test_row_past_the_price_is_refused_unbuilt(self):
+    def test_row_past_the_price_is_refused_unbuilt(self, monkeypatch):
         # catalan r = 30, n = 60 is refused on its walk's C(89, 60) compositions
         # at the first next(), before the closed side builds or replaces any
         # table
@@ -505,5 +561,13 @@ class TestVerifyTheorem:
         with pytest.raises(ValueError, match=f"the check row would take more than WORK = {WORK}"):
             next(row)
         assert seq._last_table is kept
+        # the grid's row r = 30 is refused before any row's walk or closed side
+        # runs, so neither stub is reached
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("a row ran before the grid was priced")
+
+        monkeypatch.setattr(conv, "convolution_oracle", unreached)
+        monkeypatch.setattr(conv, "convolution_closed", unreached)
         with pytest.raises(ValueError, match=f"WORK = {WORK}"):
             verify_theorem(preset("catalan")[0], 30, 60)
