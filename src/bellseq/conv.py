@@ -347,59 +347,54 @@ def _affine(values: list) -> tuple:
 
 
 def check_row(spec: BellSequenceSpec, r: int, N: int, delta: int = 0):
-    """Oracle-vs-closed-form reports at (r, n), n = 1..N, one at a time; for
-    delta > 0 (a=0, b=1 only) the closed side is the shifted form, one call per
-    index to this module's function.  The window, the walk and the closed side
-    are priced together at the first next(), before any is built
-    (:func:`_price_row`)."""
-    window = _price_row(spec, r, N, delta, None)
-    yield from _reports(spec, r, N, delta, window)
+    """Oracle-vs-closed-form reports at (r, n), n = 1..N, one at a time.  For
+    delta > 0, of any spec, the closed side is [t^n] (t^delta y)^r = [t^M]
+    y^r, M = n - delta r: :func:`convolution_closed` at M > 0, 1 at M = 0 and
+    0 below.  The row is priced at the first next(), before its window, walk
+    or closed side is built (:func:`_price_rows`)."""
+    yield from _reports(spec, r, N, delta, _price_rows(spec, (r,), N, delta))
 
 
-def _price_row(spec: BellSequenceSpec, r: int, N: int, delta: int,
-               window: SequenceWindow | None) -> SequenceWindow:
-    """The window of a check row, built unless given, with the row priced
-    before any walk or closed side runs; ValueError past WORK.  At index n
-    the walk visits C(n + r - 1, r - 1) compositions of r parts (past n r =
-    WORK the binomial is taken as max(n, r)), each r products of the running
-    product by a factor D y_m, D the lcm of the window's denominators, whose
-    parts m sum to M = n - r delta where no factor is zero.  The walk is
-    priced first by :func:`~bellseq.seq.growth`'s bound on every |z_m|, D |
-    E^n, at r products of halves of their bits' sum, at most ceil(n q/16) + r
-    (h + 2) + r n bits(E - 1), packed at B below that plus n + r + 1, of
-    degree n d + r.  That bound is loose for wide a and b, so a row it prices
-    past WORK is priced again: with the walk at one small product a part,
-    and then, the window built, with the walk's bits read from the window,
-    before the closed side is built.  A product of the running
-    product by the j-th factor takes, as by schoolbook, the digits of the
-    factors before it times the factor's, so a composition at most sum_{i<j}
-    s_i s_j / 900 for factors of s_m bits.  Packed at B (0 for scalars), D
-    y_m has at most s_m = deg(y_m) B + bits(||D y_m||_1) + 31 bits, top
-    coefficient, carry and a digit's rounding included, and s_m <= s_0 +
-    slope m by the affine majorants (:func:`_affine`) of the degrees and the
-    bits, so the sum over the compositions of M has a closed form, as those
-    of sum_i m_i and sum_{i<j} m_i m_j do (coefficients of x/(1-x)^(r+1) and
-    x^2/(1-x)^(r+2)).  B = bits(sum_comp prod_i ||D y_(m_i)||_1) + 1 is below
-    r bits_0 + slope M + bits(C(M + r - 1, r - 1)) + 1 by the bits' majorant,
-    and a product has at most M d + 1 coefficients, decoded as in seq."""
-    E, q, h, (dp, dq), _ = grown = growth(spec, N)
+def _price_rows(spec: BellSequenceSpec, rs, N: int, delta: int) -> SequenceWindow:
+    """The window of the check rows r in rs to N, built once, with every row
+    priced alone as one request, the window, the closed side to N - r delta
+    and the walk: ValueError past WORK before any walk or closed side runs,
+    and before the window is built unless a row needs the window's sizes.
 
-    def walk(sizes, parts):
+    At index n the walk visits C(n + r - 1, r - 1) compositions of r parts
+    (past n r = WORK the binomial is taken as max(n, r)), each r products of
+    the running product by a factor D y_m, D the lcm of the window's
+    denominators, whose parts m sum to M = n - r delta where no factor is
+    zero.  A product of the running product by the j-th factor takes, as by
+    schoolbook, the digits of the factors before it times the factor's, so a
+    composition at most sum_{i<j} s_i s_j / 900 for factors of s_m bits.
+    Packed at B (0 for scalars), D y_m has at most s_m = deg(y_m) B +
+    bits(||D y_m||_1) + 31 bits, top coefficient, carry and a digit's
+    rounding included, and s_m <= s_0 + slope m by affine majorants (v_0, p,
+    q), v_m <= v_0 + m p/q, of the degrees and the bits, so the sum over the
+    compositions of M has a closed form, as those of sum_i m_i and sum_{i<j}
+    m_i m_j do (coefficients of x/(1-x)^(r+1) and x^2/(1-x)^(r+2)).  B =
+    bits(sum_comp prod_i ||D y_(m_i)||_1) + 1 is below r bits_0 + slope M +
+    bits(C(M + r - 1, r - 1)) + 1 by the bits' majorant, and a product has at
+    most M d + 1 coefficients, decoded as in seq.
+
+    One model prices every row, its majorants from three sources, each row
+    priced by the next only where the one before refused it: first those of
+    :func:`_growth_sizes`; then zero sizes, below any window's, so a row they
+    refuse is refused unbuilt; then, the window built, its own, by
+    :func:`_affine`."""
+    grown = growth(spec, N)
+    dp, dq = grown[3]
+
+    @cache
+    def sides(r, parts):
+        return list(chain(work(spec, N, 0, parts, grown), work(spec, max(N - delta * r, 0), r, parts)))
+
+    def walk(r, sizes, parts):
+        (b0, bp, bq), (d0, ep, eq) = sizes
         for n, size in blocks(N, parts):
             count = comb(n + r - 1, n) if n * r <= WORK else max(n, r)
-            if sizes is None:
-                # by growth's bound, D | E^n and sum_i ceil(m_i q/16) <= ceil(n q/16) + r
-                full = -(-n * q // 16) + r * (h + 2) + r * n * (E - 1).bit_length()
-                if dp:
-                    yield size * (r - 1) * n * n, full, full
-                    full = (n * dp // dq + r) * (full + n + r + 1)
-                    yield 3 * size * (n * dp // dq + r), 30, full
-                yield size * r * count, full // 2, full // 2
-                continue
             yield size * r * count, 0, 0
-            if not sizes:
-                continue
-            (b0, bp, bq), (d0, ep, eq) = sizes
             M = max(n - r * delta, 0)
             B = 0
             if dp:
@@ -412,34 +407,37 @@ def _price_row(spec: BellSequenceSpec, r: int, N: int, delta: int,
                                   + step * step * comb(M + r - 1, r + 1))
             yield size * count, 0, 30 * -(-pairs // (900 * count * (bq * eq) ** 2))
 
-    shifted = BellSequenceSpec(0, 1, spec.c) if delta else spec
+    def refused(rows, sizes, what=""):
+        return [r for r in rows if not price(lambda parts: chain(sides(r, parts), walk(r, sizes, parts)), what)]
 
-    @cache
-    def sides(parts):
-        return list(chain(work(spec, N, 0, parts, grown), work(shifted, max(N - delta * r, 0), r, parts)))
-
-    def row(sizes):
-        return lambda parts: chain(sides(parts), walk(sizes, parts))
-
-    loose = not price(row(None))
-    if loose:
-        price(row(()), "the check row")
-    if window is None:
-        window = bell_transform(spec, N)
+    loose = refused(rs, _growth_sizes(N, grown))
+    refused(loose, ((0, 0, 1), (0, 0, 1)), "the check row")
+    window = bell_transform(spec, N)
     if loose:
         scaled = _scale(window.values)[1]
         bits = [_norm(v).bit_length() for v in scaled]
-        degrees = [getattr(v, "degree", 0) for v in scaled]
-        price(row((_affine(bits), _affine(degrees))), "the check row")
+        refused(loose, (_affine(bits), _affine([getattr(v, "degree", 0) for v in scaled])), "the check row")
     return window
+
+
+def _growth_sizes(N: int, grown: tuple) -> tuple:
+    """Affine majorants (v_0, p, q) of bits(||D y_m||_1) and of deg y_m, m <=
+    N, D the lcm of y_0..y_N's denominators, from grown = (E, q, h, d, rows)
+    of :func:`~bellseq.seq.growth` on (spec, N): every coefficient of z_m =
+    E^m y_m is below 2^(ceil(m q/16) + h), and deg y_m <= m d.  As y_m = z_m
+    / E^m, D divides E^N <= 2^(N bits(E - 1)), and D y_m = (D / E^m) z_m has
+    at most N d + 1 coefficients, each at most E^N times one of z_m's, so
+    ||D y_m||_1 < 2^(N bits(E - 1) + bits(N d + 1) + m q/16 + 1 + h), and
+    bits(||D y_m||_1) <= N bits(E - 1) + h + 2 + bits(N d + 1) + m q/16."""
+    E, q, h, (dp, dq), _ = grown
+    return (N * (E - 1).bit_length() + h + 2 + (N * dp // dq + 1).bit_length(), q, 16), (0, dp, dq)
 
 
 def _reports(spec: BellSequenceSpec, r: int, N: int, delta: int, window: SequenceWindow):
     """The reports of a priced check row, the closed side of index N first."""
     def closed(n):
-        if delta > 0:
-            return shifted_convolution_closed(spec.c, r, n, delta)
-        return convolution_closed(spec, r, n)
+        M = n - delta * r
+        return convolution_closed(spec, r, M) if M > 0 else int(M == 0)
 
     last = closed(N) if N else None
     for n in range(1, N + 1):
@@ -449,12 +447,11 @@ def _reports(spec: BellSequenceSpec, r: int, N: int, delta: int, window: Sequenc
 
 def verify_theorem(spec: BellSequenceSpec, r_max: int, n_max: int) -> list:
     """The reports of :func:`check_row` for every (r, n) in [1, r_max] x
-    [1, n_max], r outermost.  The window is built once, then every row is
-    priced as check_row prices it, before any row's walk or closed side
-    runs, so a grid is refused, unbuilt, exactly when one of its rows is."""
+    [1, n_max], r outermost.  Every row is priced as check_row prices it
+    before the window is built, once, and before any row's walk or closed
+    side runs, so a grid is refused, unbuilt, exactly when one of its rows
+    is."""
     if r_max < 1 or n_max < 1:
         raise ValueError("r_max and n_max must be at least 1")
-    window = bell_transform(spec, n_max)
-    for r in range(1, r_max + 1):
-        _price_row(spec, r, n_max, 0, window)
+    window = _price_rows(spec, range(1, r_max + 1), n_max, 0)
     return [report for r in range(1, r_max + 1) for report in _reports(spec, r, n_max, 0, window)]

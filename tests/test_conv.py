@@ -401,6 +401,15 @@ class TestShiftedClosedForm:
         assert convolution_oracle(w, 2, 4, delta=1) == 5
         assert shifted_convolution_closed((1, 1), 2, 4, 1) == 5
 
+    def test_shifted_row_of_another_spec(self):
+        # y = 1 + t y + t^2 y^2 is Motzkin's 1, 1, 2, 4, 9, ..., and [t^n]
+        # (t y)^2 = [t^(n-2)] y^2 is 0, 1, 2, 5, 12, 30 at n = 1..6: the closed
+        # side is this spec's own closed form at M = n - 2, not that of the
+        # a=0, b=1 family with the same c (10 at n = 5)
+        reports = list(check_row(BellSequenceSpec(1, 0, (1, 1)), 2, 6, delta=1))
+        assert [(rep.n, rep.lhs, rep.rhs) for rep in reports] == [
+            (1, 0, 0), (2, 1, 1), (3, 2, 2), (4, 5, 5), (5, 12, 12), (6, 30, 30)]
+
     def test_below_shift_cutoff(self):
         assert shifted_convolution_closed((1, 1), 3, 2, 1) == 0
         assert shifted_convolution_closed((1, 1, 1), 2, 3, 2) == 0
@@ -561,13 +570,17 @@ class TestVerifyTheorem:
         with pytest.raises(ValueError, match=f"the check row would take more than WORK = {WORK}"):
             next(row)
         assert seq._last_table is kept
-        # the grid's row r = 30 is refused before any row's walk or closed side
-        # runs, so neither stub is reached
+        # a grid is refused on its rows' prices before its window is built and
+        # before any row's walk or closed side runs, so no stub is reached:
+        # row r = 30 of the first, and every row of the second, whose window
+        # alone takes seconds
 
         def unreached(*args, **kwargs):
             raise AssertionError("a row ran before the grid was priced")
 
+        monkeypatch.setattr(conv, "bell_transform", unreached)
         monkeypatch.setattr(conv, "convolution_oracle", unreached)
         monkeypatch.setattr(conv, "convolution_closed", unreached)
-        with pytest.raises(ValueError, match=f"WORK = {WORK}"):
-            verify_theorem(preset("catalan")[0], 30, 60)
+        for r_max, n_max in ((30, 60), (3, 2000)):
+            with pytest.raises(ValueError, match=f"WORK = {WORK}"):
+                verify_theorem(preset("catalan")[0], r_max, n_max)

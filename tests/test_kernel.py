@@ -19,11 +19,11 @@ from math import comb, lcm
 from random import Random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from bellseq import cli, seq
+from bellseq import cli, conv, seq
 from bellseq.conv import check_row, convolution_closed, shifted_convolution_closed
-from bellseq.ring import WORK, Polynomial, X, generalized_binomial, parse_element, price
+from bellseq.ring import WORK, Polynomial, X, _norm, _scale, generalized_binomial, parse_element, price
 from bellseq.seq import (
     BellSequenceSpec,
     RecurrenceSpec,
@@ -36,6 +36,7 @@ from bellseq.seq import (
     closed_row,
     decompose,
     fuss_catalan_closed,
+    growth,
     preset,
     work,
 )
@@ -43,6 +44,7 @@ from bellseq.seq import (
 from _oracles import (
     closed_form_by_enumeration,
     closed_form_by_table,
+    convolution_bruteforce,
     is_canonical,
     power_table,
     rewritten_by_enumeration,
@@ -108,6 +110,17 @@ def test_shifted_convolution_closed(c, r, n, delta):
     value = shifted_convolution_closed(c, r, n, delta)
     assert value == shifted_by_enumeration(c, r, n, delta)
     assert_canonical(value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs, st.integers(1, 4), st.integers(0, 9), st.sampled_from((1, 2)))
+def test_shifted_check_row(spec, r, N, delta):
+    # a shifted row of any spec: its closed side is that spec's own closed
+    # form at M = n - delta r
+    values = bell_transform(spec, N).values
+    for rep in check_row(spec, r, N, delta):
+        assert rep.lhs == convolution_bruteforce(values, r, rep.n, delta), rep
+        assert rep.matched, rep
 
 
 rational_entries = st.one_of(
@@ -591,6 +604,10 @@ bench_entries = st.one_of(bench_scalars, st.lists(bench_scalars, min_size=1, max
        st.integers(0, 30), st.integers(1, 8), st.integers(1, 13), st.integers(0, 2))
 # its check row was once priced past WORK by the walk's bound, at 0.3 s of work
 @example(0, 6, [4 * X], 30, 8, 13, 0)
+# growth's sizes price these two rows past WORK, and the window's accept them
+@example(-8, -3, [Fraction(15, 2), Polynomial((Fraction(5, 3), -7, -6)),
+                  Polynomial((Fraction(-11, 2), Fraction(15, 2), Fraction(19, 2)))], 30, 8, 13, 0)
+@example(6, -3, [Polynomial((6, Fraction(-19, 3), -14)), Fraction(15, 2)], 30, 8, 13, 0)
 def test_benchmark_sizes_are_never_refused(a, b, c, N, r, n, delta):
     # every route at the sizes of the four workloads' requests stays far
     # inside WORK, so the price can never fail a benchmark job
@@ -604,3 +621,26 @@ def test_benchmark_sizes_are_never_refused(a, b, c, N, r, n, delta):
             each, once = cli._bell_work(12, k, xs)
             terms = cli._partition_count(12, k)
             assert price(lambda parts: once + [(terms * c, a, b) for c, a, b in each])
+
+
+growth_scalars = st.one_of(st.just(0), st.fractions(min_value=-6, max_value=6, max_denominator=4))
+growth_entries = st.one_of(growth_scalars, st.lists(growth_scalars, min_size=1, max_size=3).map(Polynomial))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-6, 6), st.integers(-6, 6), st.lists(growth_entries, max_size=4), st.integers(0, 30))
+def test_growth_bounds_the_window(a, b, c, N):
+    # seq.growth's bound prices every Miller row, and through
+    # conv._growth_sizes every check row's walk before its window is built
+    assume(a or b)
+    spec = BellSequenceSpec(a, b, tuple(c))
+    E, q, h, (dp, dq), _ = grown = growth(spec, N)
+    (b0, bp, bq), (d0, ep, eq) = conv._growth_sizes(N, grown)
+    values = bell_transform(spec, N).values
+    for m, (y, Dy) in enumerate(zip(values, _scale(values)[1])):
+        for coefficient in getattr(y, "coefficients", (y,)):
+            z = E**m * coefficient
+            assert z.denominator == 1 and abs(z) < 2 ** (-(-m * q // 16) + h), (m, z)
+        degree = getattr(y, "degree", 0)
+        assert degree * dq <= m * dp and degree * eq <= d0 * eq + m * ep, (m, degree)
+        assert _norm(Dy).bit_length() * bq <= b0 * bq + m * bp, (m, Dy)
