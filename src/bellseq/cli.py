@@ -23,8 +23,8 @@ from math import isqrt
 from types import SimpleNamespace
 
 from . import seq
-from .bellpoly import bell_eval, bell_eval_recurrence, bell_symbolic
-from .ring import _norm, _scale, format_element, parse_element, price
+from .bellpoly import _check_args, bell_eval, bell_eval_recurrence, bell_symbolic
+from .ring import _norm, _rough, _scale, crude, format_element, parse_element, price
 from .seq import PRESET_NAMES, BellSequenceSpec, RecurrenceSpec
 
 # one exponent of a term costs about 10 products of one digit, 170 ns: the
@@ -269,6 +269,37 @@ def _bell_work(n: int, k: int, xs, cross_check: bool = False) -> tuple:
     return each, once
 
 
+def _bell_bound(n: int, k: int, xs, cross_check: bool = False) -> tuple:
+    """One :func:`~bellseq.ring.crude` triple at least the price of
+    :func:`_bell_work` with p(n, k) terms, by bit counts: p(n, k), the
+    partitions of n - k into at most k parts, is at most 2^(n - k) (each is
+    a composition, and n - k has 2^(n - k - 1) of them), taken as 2^40 past
+    n - k = 40, where it passes WORK; by :func:`~bellseq.ring._rough` on the
+    n - k + 1 entries, every b_i is at most W = e + s, as max(D, ||u_i||_1)
+    < 2^(e + s), and every degree at most g, so a term's bits are at most k
+    W and its degree d at most k g; the counts of each term sum to at most
+    (n - k + 1) PASSES + (k g)^2/2 + nz (k g + 1), those once to n + k g + 2
+    + 3 (k + k (n - k)) (k g/2 + 1)^2, and with cross_check k (n - k + 1)^2
+    + rows (n - k + 1) (g + 2) + pairs (RING + 2), pairs = rows t (g + 1)
+    (k g + 1), t the nonzero entries; every operand has at most the value's
+    bits, and with cross_check the binomial's and W more."""
+    if k > n:
+        return crude(n + 1, 0)
+    slots = n - k + 1
+    e, s, g, t, _, _ = _rough(xs[:slots])
+    W, d = e + s, k * g
+    terms = 1 << min(n - k, 40)
+    nz = min(k, slots, isqrt(2 * n) + 1)
+    count = terms * (slots * PASSES + d * d // 2 + nz * (d + 1)) + n + d + 2
+    count += 3 * (k + k * slots) * (d // 2 + 1) ** 2
+    bits = min(n, min(k, n - k) * n.bit_length()) + (n - k) * (k - 1).bit_length() + k * W + 2
+    if cross_check:
+        rows = max(k - 2, 0) * slots + 2
+        count += k * slots * slots + rows * slots * (g + 2) + rows * t * (g + 1) * (d + 1) * (RING + 2)
+        bits += min(n, (n - k) * n.bit_length()) + W
+    return crude(count, bits)
+
+
 def _cmd_bell(args, emitter) -> int:
     n, k = args.n, args.k
     if args.symbolic and args.x is not None:
@@ -277,16 +308,25 @@ def _cmd_bell(args, emitter) -> int:
         raise ValueError("--symbolic conflicts with --cross-check")
     if not args.symbolic and args.x is None:
         raise ValueError("either --symbolic or --x is required")
-    each, once = _bell_work(n, k, args.x or (), args.cross_check)
+    xs = args.x or ()
+    if not args.symbolic:
+        _check_args(n, k, xs)
+    full = []
 
-    def work(terms):
-        return lambda parts: once + [(terms * count, a, b) for count, a, b in each]
+    def products(parts):
+        if not parts:
+            return [_bell_bound(n, k, xs, args.cross_check)]
+        if not full:
+            each, once = _bell_work(n, k, xs, args.cross_check)
+            # the lower bound p(n, k) >= floor((n - k)/2) + 1 first, so that
+            # a request it refuses is not counted
+            terms = (n - k) // 2 + 1 if 2 <= k <= n else 1
+            if price(lambda parts: once + [(terms * count, a, b) for count, a, b in each]):
+                terms = _partition_count(n, k)
+            full.extend(once + [(terms * count, a, b) for count, a, b in each])
+        return full
 
-    # the lower bound on p(n, k) first, so that a refused request is not counted
-    terms = (n - k) // 2 + 1 if 2 <= k <= n else 1
-    if price(work(terms)):
-        terms = _partition_count(n, k)
-    price(work(terms), f"B_({n},{k})")
+    price(products, f"B_({n},{k})")
     if args.symbolic:
         text = str(bell_symbolic(n, k))
         emitter.emit({"kind": "bellpoly", "n": n, "k": k, "terms": text}, text)

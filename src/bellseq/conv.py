@@ -12,14 +12,14 @@ priced as one request, for ``conv --check`` and :func:`verify_theorem`."""
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from itertools import chain
 from math import comb
 
 from .bellpoly import bell_closed_three_term, bell_eval
 from .ring import (WORK, Polynomial, Record, RingElement, X, _norm, _pack, _scale, _unpack,
-                   blocks, format_element, generalized_binomial, normalized, price)
-from .seq import BellSequenceSpec, SequenceWindow, bell_transform, closed_row, growth, work
+                   blocks, crude, format_element, generalized_binomial, normalized, price)
+from .seq import (BellSequenceSpec, SequenceWindow, _rough_growth, bell_transform, closed_row, growth,
+                  work)
 
 __all__ = [
     "ConvolutionReport",
@@ -358,8 +358,51 @@ def check_row(spec: BellSequenceSpec, r: int, N: int, delta: int = 0):
 def _price_rows(spec: BellSequenceSpec, rs, N: int, delta: int) -> SequenceWindow:
     """The window of the check rows r in rs to N, built once, with every row
     priced alone as one request, the window, the closed side to N - r delta
-    and the walk: ValueError past WORK before any walk or closed side runs,
-    and before the window is built unless a row needs the window's sizes.
+    and the walk (:func:`_walk_work`): ValueError past WORK before any walk
+    or closed side runs, and before the window is built unless a row needs
+    the window's sizes.
+
+    One model prices every row, its majorants from three sources, each row
+    priced by the next only where the one before refused it: first those of
+    :func:`_growth_sizes`, from :func:`~bellseq.seq.growth` past the crude
+    run and from its rough bound in it; then zero sizes, below any window's,
+    so a row they refuse is refused unbuilt; then, the window built, its
+    own, by :func:`_affine`."""
+    known = {}
+
+    def grown(parts):
+        key = parts > 0
+        if key not in known:
+            known[key] = (growth if key else _rough_growth)(spec, N)
+        return known[key]
+
+    def sides(r, parts):
+        if (r, parts) not in known:
+            known[r, parts] = list(chain(work(spec, N, 0, parts, grown(parts)),
+                                         work(spec, max(N - delta * r, 0), r, parts)))
+        return known[r, parts]
+
+    def refused(rows, sizes, what=""):
+        return [r for r in rows if not price(
+            lambda parts: chain(sides(r, parts), _walk_work(N, r, delta, grown(parts)[3], sizes(parts), parts)),
+            what)]
+
+    loose = refused(rs, lambda parts: _growth_sizes(N, grown(parts)))
+    refused(loose, lambda parts: ((0, 0, 1), (0, 0, 1)), "the check row")
+    window = bell_transform(spec, N)
+    if loose:
+        scaled = _scale(window.values)[1]
+        bits = [_norm(v).bit_length() for v in scaled]
+        sizes = _affine(bits), _affine([getattr(v, "degree", 0) for v in scaled])
+        refused(loose, lambda parts: sizes, "the check row")
+    return window
+
+
+def _walk_work(N: int, r: int, delta: int, slope: tuple, sizes: tuple, parts: int):
+    """The products of the oracle's walk over the check row r to N, shift
+    delta, as :func:`price` reads them, for Polynomial values of degree at
+    most m slope at m, with sizes the affine majorants (v_0, p, q) of the
+    bits and of the degree of the factors.
 
     At index n the walk visits C(n + r - 1, r - 1) compositions of r parts
     (past n r = WORK the binomial is taken as max(n, r)), each r products of
@@ -378,46 +421,44 @@ def _price_rows(spec: BellSequenceSpec, rs, N: int, delta: int) -> SequenceWindo
     bits(C(M + r - 1, r - 1)) + 1 by the bits' majorant, and a product has at
     most M d + 1 coefficients, decoded as in seq.
 
-    One model prices every row, its majorants from three sources, each row
-    priced by the next only where the one before refused it: first those of
-    :func:`_growth_sizes`; then zero sizes, below any window's, so a row they
-    refuse is refused unbuilt; then, the window built, its own, by
-    :func:`_affine`."""
-    grown = growth(spec, N)
-    dp, dq = grown[3]
-
-    @cache
-    def sides(r, parts):
-        return list(chain(work(spec, N, 0, parts, grown), work(spec, max(N - delta * r, 0), r, parts)))
-
-    def walk(r, sizes, parts):
-        (b0, bp, bq), (d0, ep, eq) = sizes
-        for n, size in blocks(N, parts):
-            count = comb(n + r - 1, n) if n * r <= WORK else max(n, r)
-            yield size * r * count, 0, 0
-            M = max(n - r * delta, 0)
-            B = 0
-            if dp:
-                B = -(-(r * b0 * bq + bp * M) // bq) + comb(M + r - 1, M).bit_length() + 1
-                yield size * (r - 1) * M * M, B, B
-                yield 3 * size * (M * dp // dq + 1), 30, (M * dp // dq + 1) * B
-            # s_0 and the slope, both times bq eq
-            s0, step = (B * d0 + b0 + 31) * bq * eq, B * ep * bq + bp * eq
-            pairs = comb(r, 2) * (s0 * s0 * comb(M + r - 1, M) + 2 * s0 * step * comb(M + r - 1, r)
-                                  + step * step * comb(M + r - 1, r + 1))
-            yield size * count, 0, 30 * -(-pairs // (900 * count * (bq * eq) ** 2))
-
-    def refused(rows, sizes, what=""):
-        return [r for r in rows if not price(lambda parts: chain(sides(r, parts), walk(r, sizes, parts)), what)]
-
-    loose = refused(rs, _growth_sizes(N, grown))
-    refused(loose, ((0, 0, 1), (0, 0, 1)), "the check row")
-    window = bell_transform(spec, N)
-    if loose:
-        scaled = _scale(window.values)[1]
-        bits = [_norm(v).bit_length() for v in scaled]
-        refused(loose, (_affine(bits), _affine([getattr(v, "degree", 0) for v in scaled])), "the check row")
-    return window
+    parts = 0 is one :func:`~bellseq.ring.crude` triple.  The count at n = N
+    is at most K = (L + 1)^t, t = min(N, r - 1) and L = max(N, r - 1), as
+    C(L + t, t) is a product of t ratios (L + i)/i <= L + 1; past t = 33, K
+    >= C(2t, t) >= 2^34 passes WORK, and K is taken as 2^34.  The pairs sum
+    to C(r, 2) C(M + r - 1, M) (s_0 + slope M)^2 at most, as C(M + r - 1, r)
+    and C(M + r - 1, r + 1) are C(M + r - 1, M) times M/r and M (M - 1)/(r
+    (r + 1)); so with a = s_M // 30 + 1 digits a factor, the r products and
+    the pairs of the N K compositions weigh at most N K (C(r, 2) + r + 2)
+    (a^2 + 32), and the packed products add N (r - 1) M^2 + 3 N (M d + 1)
+    of at most (M d + 1) B bits."""
+    (b0, bp, bq), (d0, ep, eq) = sizes
+    dp, dq = slope
+    if not parts:
+        t, L = min(N, r - 1), max(N, r - 1)
+        K = (L + 1) ** max(t, 1) if t < 34 else 1 << 34
+        M = max(N - r * delta, 0)
+        B = -(-(r * b0 * bq + bp * M) // bq) + K.bit_length() + 1 if dp else 0
+        s = -(-((B * d0 + b0 + 31) * bq * eq + (B * ep * bq + bp * eq) * M) // (bq * eq))
+        count = N * K * (r * (r - 1) // 2 + r + 2)
+        if dp:
+            count += N * (r - 1) * M * M + 3 * N * (M * dp // dq + 1)
+            s = max(s, 30, (M * dp // dq + 1) * B)
+        yield crude(count, s)
+        return
+    for n, size in blocks(N, parts):
+        count = comb(n + r - 1, n) if n * r <= WORK else max(n, r)
+        yield size * r * count, 0, 0
+        M = max(n - r * delta, 0)
+        B = 0
+        if dp:
+            B = -(-(r * b0 * bq + bp * M) // bq) + comb(M + r - 1, M).bit_length() + 1
+            yield size * (r - 1) * M * M, B, B
+            yield 3 * size * (M * dp // dq + 1), 30, (M * dp // dq + 1) * B
+        # s_0 and the slope, both times bq eq
+        s0, step = (B * d0 + b0 + 31) * bq * eq, B * ep * bq + bp * eq
+        pairs = comb(r, 2) * (s0 * s0 * comb(M + r - 1, M) + 2 * s0 * step * comb(M + r - 1, r)
+                              + step * step * comb(M + r - 1, r + 1))
+        yield size * count, 0, 30 * -(-pairs // (900 * count * (bq * eq) ** 2))
 
 
 def _growth_sizes(N: int, grown: tuple) -> tuple:

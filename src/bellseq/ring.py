@@ -265,22 +265,16 @@ WORK = 10**10
 def price(products, what: str = "") -> bool:
     """Whether products(parts), (count, bits, bits) triples of count int
     products of operands of at most those bits, over 1..N cut into parts
-    runs by :func:`blocks`, weigh at most WORK: one run first, 16 only past
-    it; past WORK with a what, ValueError naming WORK, before the work.  The
-    unit is a product of two 30-bit digits, CPython's int digit: a product
-    of a <= b digits weighs (b/a) K(a) + 32, K(a) = a^2 up to 70 digits,
-    where CPython multiplies by schoolbook, and 3 K(a/2) past them, as by
-    Karatsuba on a-digit pieces; 32 is the interpreter's step around it."""
-    for parts in (1, 16):
+    runs by :func:`blocks`, weigh at most WORK in :func:`units`: first
+    products(0), a crude majorant of the one-run total (see :func:`crude`),
+    then one run, 16 only past it; past WORK with a what, ValueError naming
+    WORK, before the work.  As the majorant is at least the one-run total
+    wherever it is at most WORK, it accepts only what one run accepts, so it
+    changes no decision; a route may cap it at any value past WORK."""
+    for parts in (0, 1, 16):
         total = 0
         for count, bits_a, bits_b in products(parts):
-            a, b = bits_a // 30 + 1, bits_b // 30 + 1
-            if a > b:
-                a, b = b, a
-            k, cuts = a, 1
-            while k > 70:
-                k, cuts = (k + 1) >> 1, 3 * cuts
-            total += count * (b * cuts * k * k // a + 32)
+            total += units(count, bits_a, bits_b)
             if total > WORK:
                 break
         else:
@@ -288,6 +282,76 @@ def price(products, what: str = "") -> bool:
     if what:
         raise ValueError(f"{what} would take more than WORK = {WORK} units of work")
     return False
+
+
+def units(count: int, bits_a: int, bits_b: int) -> int:
+    """The weight of count int products of operands of bits_a and bits_b
+    bits.  The unit is a product of two 30-bit digits, CPython's int digit:
+    a product of a <= b digits weighs (b/a) K(a) + 32, K(a) = a^2 up to 70
+    digits, where CPython multiplies by schoolbook, and 3 K(a/2) past them,
+    as by Karatsuba on a-digit pieces; 32 is the interpreter's step around
+    it."""
+    a, b = bits_a // 30 + 1, bits_b // 30 + 1
+    if a > b:
+        a, b = b, a
+    k, cuts = a, 1
+    while k > 70:
+        k, cuts = (k + 1) >> 1, 3 * cuts
+    return count * (b * cuts * k * k // a + 32)
+
+
+def crude(count: int, bits: int) -> tuple:
+    """The triple that :func:`units` weighs count (a^2 + 32), a = bits // 30
+    + 1: a majorant of any count products of operands of at most bits bits.
+    A product of a' <= b' <= a digits weighs (b'/a') K(a') + 32 <= a' b' + 32
+    <= a^2 + 32, as K(a') <= a'^2: equal up to 70 digits, and past them
+    3 K(ceil(a'/2)) <= 3 (a' + 1)^2/4 <= a'^2 by induction, for a' >= 7;
+    and a product of one digit by a^2 digits weighs a^2 + 32."""
+    a = bits // 30 + 1
+    return count, 0, 30 * (a * a - 1)
+
+
+def _rough(values) -> tuple:
+    """(e, s, g, t, low, high) of values v_1, v_2, ..., by bit counts alone:
+    D <= 2^e for D the lcm of their denominators (of the coefficients, for a
+    Polynomial), ||D v_j||_1 < 2^(e + s) for each, g their largest degree, t
+    the count of nonzero values and low, high the first and last index of
+    one (0 when none).  D divides the product of the denominators, each den
+    <= 2^bits(den - 1), and ||D v||_1 <= D sum |numerator| < D 2^s.  The
+    last tuple of values asked for is kept with its answer, as one request
+    prices its c several times."""
+    global _last_rough
+    last = _last_rough
+    if last[0] is values:
+        return last[1]
+    e = s = g = t = low = high = 0
+    for j, v in enumerate(values, start=1):
+        if not v:
+            continue
+        t, high, low = t + 1, j, low or j
+        if type(v) is int:
+            size = abs(v).bit_length()
+        elif isinstance(v, Polynomial):
+            g = max(g, len(v.coefficients) - 1)
+            size = 0
+            for c in v.coefficients:
+                numerator, denominator = c.as_integer_ratio()
+                e += (denominator - 1).bit_length()
+                size += abs(numerator)
+            size = size.bit_length()
+        else:
+            numerator, denominator = v.as_integer_ratio()
+            e += (denominator - 1).bit_length()
+            size = abs(numerator).bit_length()
+        if size > s:
+            s = size
+    rough = e, s, g, t, low, high
+    if isinstance(values, tuple):
+        _last_rough = values, rough
+    return rough
+
+
+_last_rough = (None, None)
 
 
 def blocks(N: int, parts: int):

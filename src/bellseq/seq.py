@@ -24,8 +24,8 @@ from operator import mul
 
 from .bellpoly import bell_eval  # noqa: F401  unused; bench/tracing.py wraps seq.bell_eval by name
 from .bellpoly import bell_closed_three_term
-from .ring import (Polynomial, Record, RingElement, X, _norm, _pack, _scale, _unpack, blocks,
-                   generalized_binomial, normalized, price)
+from .ring import (Polynomial, Record, RingElement, X, _norm, _pack, _rough, _scale, _unpack, blocks,
+                   crude, generalized_binomial, normalized, price)
 
 __all__ = [
     "BellSequenceSpec",
@@ -213,7 +213,27 @@ def _closed_work(spec: BellSequenceSpec, r: int, N: int, D: int, entries, parts:
     1) factors below 2^bits(T + n) multiplied up and a product and a division
     of the weight by them, or else forms a binomial below 2^(_STEP_BITS + 16
     F) by comb; then D^(n-k) and one product for the sum; each value is held,
-    formatted and decoded as in :func:`_solve_work`."""
+    formatted and decoded as in :func:`_solve_work`.
+
+    parts = 0 is one :func:`~bellseq.ring.crude` triple from
+    :func:`~bellseq.ring._rough` on c alone, D and entries unread: D <= 2^e
+    and S < t 2^(e + s), so q and wide are at most 16 max(1, e + s +
+    bits(t)); the slope is at most g, F at most max(1, high - low) (|b| +
+    |b - 1| + 1); and the one run's counts, at n = N of size N, sum to at
+    most N (N (t + 1) + cells (2 t + bits(N) + F + 5) + 4 (N g + 1)), as
+    falls + steps = cells, its operands' bits to at most the largest of the
+    weight, the factors, 30 and (max(N, len(c)) g + 1) twice B."""
+    if not parts:
+        e, s, g, t, low, high = _rough(spec.c)
+        wide = 16 * max(1, e + s + t.bit_length())
+        binom, lcm_bits, B = _bits(spec, r, N, wide)
+        F = max(1, high - low) * (abs(spec.b) + abs(spec.b - 1) + 1)
+        cells = min(N, N * (high - low) // (low * high) + 1) if t else 0
+        weight = r.bit_length() + binom + lcm_bits + N * e + 1
+        count = N * (N * (t + 1) + cells * (2 * t + N.bit_length() + F + 5) + 4 * (N * g + 1))
+        factors = F * ((abs(spec.a) + abs(spec.b) + 1) * N + r).bit_length()
+        yield crude(count, max(weight, factors, 30, 2 * B * (max(N, len(spec.c)) * g + 1)))
+        return
     S = sum(_norm(e) for _, e in entries)
     q, wide = (max(1, S) ** 16).bit_length(), (max(1, D, S) ** 16).bit_length()  # S^n < 2^(n q/16)
     (dp, dq), width = _slope(entries), 0
@@ -441,6 +461,24 @@ def growth(spec: BellSequenceSpec, N: int, scaled=None) -> tuple:
     return E, q, h, _slope(entries), len(alphas)
 
 
+def _rough_growth(spec: BellSequenceSpec, N: int) -> tuple:
+    """(E', q', h', (g, 1), rows') at least each term of :func:`growth` of
+    (spec, N), by :func:`~bellseq.ring._rough` on c, whose bit counts take
+    no product, so every bound proved from growth's terms holds from these:
+    E' = 2^e >= E; S = sum_j ||E^j c_j||_1 < t 2^(e high + s), so q <=
+    16 max(1, e high + s + bits(t)), and 16 (|a| + |b| + 1) more where a
+    Miller row may be; rows' = t, or for a = 0, the one exponent b, 1 unless
+    b is 0 or 1; A <= |a| high + |b|; and the slope is at most g."""
+    e, s, g, t, low, high = _rough(spec.c)
+    rows = t if spec.a else int(bool(t) and spec.b not in (0, 1))
+    q, h = 16 * max(1, e * high + s + t.bit_length()), 1
+    if rows:
+        A = abs(spec.a) * high + abs(spec.b)
+        q += 16 * (abs(spec.a) + abs(spec.b) + 1)
+        h = A + 2 + (A * N).bit_length()
+    return 1 << e, q, h, (g, 1), rows
+
+
 def _solve_work(spec: BellSequenceSpec, N: int, lambdas=0, room=0, parts=16, grown=None):
     """The products of :func:`_functional_ints` to N as :func:`price` reads
     them, by :func:`growth`: at each m a product per entry and per lambda;
@@ -450,10 +488,23 @@ def _solve_work(spec: BellSequenceSpec, N: int, lambdas=0, room=0, parts=16, gro
     to hold and to format it, as CPython converts an int to text in time
     quadratic in its digits.  Polynomial entries run once on the norms and
     once packed at B <= bits(M^N) + 2 + room, degree m d, decoded a digit at
-    a time, three full-size steps a digit."""
-    E, q, h, (dp, dq), rows = grown or growth(spec, N)
+    a time, three full-size steps a digit.
+
+    parts = 0 is one :func:`~bellseq.ring.crude` triple, from grown or
+    else :func:`_rough_growth`: the one run's counts, at m = N of size N,
+    sum to at most N (terms + 2 rows N + 2), or with Polynomial entries N
+    (2 terms + 2 rows N + 2 + 4 degree), degree = max(N, len(c)) d + 1 at
+    least the coefficients of any operand; its operands' bits are at most
+    max(q/16 + 1, N bits(E - 1) + 1, B + h), times degree with Polynomial
+    entries, and 30."""
+    E, q, h, (dp, dq), rows = grown or (growth if parts else _rough_growth)(spec, N)
     B = -(-N * q // 16) + h + 1 + room
-    terms = len(spec.c[:N]) + lambdas
+    terms = min(len(spec.c), N) + lambdas
+    if not parts:
+        degree = max(N, len(spec.c)) * dp // dq + 1 if dp else 0
+        bits = max(q // 16 + 1, N * (E - 1).bit_length() + 1, B + h) * (degree or 1)
+        yield crude(N * (terms + 2 * rows * N + 2 + (terms + 4 * degree) * (dp > 0)), max(bits, 30 * (dp > 0)))
+        return
     for m, size in blocks(N, parts):
         top = -(-m * q // 16) + h
         yield size * (terms + rows * m + 1), max(h, q // 16 + 1, m * (E - 1).bit_length() + 1), top
@@ -472,7 +523,7 @@ def work(spec: BellSequenceSpec, N: int, r: int = 0, parts: int = 16, grown=None
     closed_row(spec, r, range(N + 1)) from no table, as :func:`price` reads
     them; grown is :func:`growth` of (spec, N), if known."""
     if r or _closed_window(spec, N):
-        return _closed_work(spec, r or 1, N, *_scaled(spec.c), parts)
+        return _closed_work(spec, r or 1, N, *(_scaled(spec.c) if parts else (1, ())), parts)
     return _solve_work(spec, N, parts=parts, grown=grown)
 
 
@@ -490,8 +541,7 @@ def _functional_ints(spec: BellSequenceSpec, N: int, lambdas=()) -> tuple:
     or int Polynomials).  _unpack(z_m, B, E^m) is y_m.  Priced first."""
     E, entries = _scaled(spec.c[:N])
     room = sum(_norm(v) * E**j for j, v in enumerate(lambdas)).bit_length()
-    price(partial(_solve_work, spec, N, len(lambdas), room, grown=growth(spec, N, (E, entries))),
-          "the functional equation")
+    price(partial(_solve_work, spec, N, len(lambdas), room), "the functional equation")
     if not any(isinstance(e, Polynomial) for _, e in entries):
         z = _solve(spec, N, E, entries)
         return E, max(map(abs, z)).bit_length() + 1 + room, z

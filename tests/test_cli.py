@@ -279,6 +279,12 @@ class TestUsageErrors:
         assert cli.main(["bell", "--n", "20000", "--k", "10000", "--symbolic"]) == 2
         assert f"B_(20000,10000) would take more than WORK = {WORK}" in capsys.readouterr().err
 
+    def test_short_argument_list_is_refused_before_the_price(self, capsys, monkeypatch):
+        # a list too short for B_(n,k) is the usage error, whatever n costs
+        monkeypatch.setattr(cli, "price", lambda *args: pytest.fail("priced"))
+        assert cli.main(["bell", "--n", "200000", "--k", "2", "--x", "1,2"]) == 2
+        assert "argument list too short: B_(200000,2) needs 199999 entries, got 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, shows", [
         (("-h",), ["seq", "conv", "decompose", "bell", "--format", "--quiet"]),
         (("seq", "--help"), ["--preset", "--param", "--n N", "--apply-offset", "--format"]),
