@@ -8,23 +8,26 @@ parsed in one pass by each command's table of long options (``_COMMANDS``):
 options, ``--param`` appended, a value begun by ``-`` taken unless ``--``;
 ``--format``, ``--quiet`` and ``-h`` go anywhere.  Every usage error, a
 request that memory or ``ring.WORK`` refuses included (`bell` is priced
-here), exits 2 with one ``usage:`` and one ``error:`` line.  All values are
-formatted before the first line, so such a request, or a value past the
-digit limit for int-to-text conversion, leaves stdout empty; a reader that
-closes stdout early ends it with exit 0.  ``json`` and :mod:`.conv` load
-where used."""
+here), exits 2 with one ``usage:`` and one ``error:`` line.  A response is
+rendered whole and written to stdout at once after its handler returns, so
+such a request, or a value past the digit limit for int-to-text conversion,
+leaves stdout empty; a reader that closes stdout early ends it with exit 0.
+``decompose`` checks its recurrence over ints (:func:`_recurrence_holds`).
+``json`` and :mod:`.conv` load where used."""
 
 
 from __future__ import annotations
 
 import os
 import sys
+from itertools import repeat
 from math import isqrt
+from operator import add, mul
 from types import SimpleNamespace
 
 from . import seq
 from .bellpoly import _check_args, bell_eval, bell_eval_recurrence, bell_symbolic
-from .ring import _norm, _rough, _scale, crude, format_element, parse_element, price
+from .ring import Polynomial, _norm, _rough, _scale, crude, format_element, parse_element, price
 from .seq import PRESET_NAMES, BellSequenceSpec, RecurrenceSpec
 
 # one exponent of a term costs about 10 products of one digit, 170 ns: the
@@ -90,7 +93,8 @@ def _resolve_spec(args) -> tuple:
 
 
 class _Emitter:
-    """Collects kind-tagged records and renders them in one format."""
+    """Renders kind-tagged records in one format and keeps each rendered
+    line, newline included, in lines."""
 
     _CSV_FIELDS = {
         "sequence": ("n", "value"),
@@ -100,26 +104,24 @@ class _Emitter:
         "bellpoly": ("n", "k", "terms", "value", "cross_check"),
     }
 
-    def __init__(self, fmt: str, quiet: bool, out):
+    def __init__(self, fmt: str, quiet: bool):
         self.fmt = fmt
         self.quiet = quiet
-        self.out = out
-        self._csv_header_done = False
+        self.lines = []
 
     def emit(self, record: dict, plain: str):
         if self.quiet:
             return
         if self.fmt == "plain":
-            print(plain, file=self.out)
+            self.lines.append(plain + "\n")
         elif self.fmt == "json":
             import json
 
-            print(json.dumps(record), file=self.out)
+            self.lines.append(json.dumps(record) + "\n")
         else:
             fields = self._CSV_FIELDS[record["kind"]]
-            if not self._csv_header_done:
-                print(",".join(("kind",) + fields), file=self.out)
-                self._csv_header_done = True
+            if not self.lines:
+                self.lines.append(",".join(("kind",) + fields) + "\n")
             cells = [record["kind"]]
             for f in fields:
                 v = record.get(f, "")
@@ -128,7 +130,7 @@ class _Emitter:
                 elif isinstance(v, (list, tuple)):
                     v = ";".join(str(item) for item in v)
                 cells.append(str(v))
-            print(",".join(cells), file=self.out)
+            self.lines.append(",".join(cells) + "\n")
 
 
 def _cmd_seq(args, emitter) -> int:
@@ -136,9 +138,7 @@ def _cmd_seq(args, emitter) -> int:
     N = args.n + max(0, -offset) if args.apply_offset else args.n
     window = seq.bell_transform(spec, N)
     values = window.shifted(offset, args.n + 1) if args.apply_offset else window.values
-    # every value is formatted before the first is written: one past the
-    # interpreter's digit limit is refused with no output
-    for i, text in enumerate(list(map(format_element, values))):
+    for i, text in enumerate(map(format_element, values)):
         emitter.emit({"kind": "sequence", "n": i, "value": text}, text)
     return 0
 
@@ -156,14 +156,13 @@ def _cmd_conv(args, emitter) -> int:
         ms = range(1 - args.delta * args.r, args.n + 1 - args.delta * args.r)
         row = seq.closed_row(spec, args.r, range(max(ms.start, 0), ms.stop))
         values = [0] * (len(ms) - len(row)) + row
-        for n, text in enumerate(list(map(format_element, values)), start=1):
+        for n, text in enumerate(map(format_element, values), start=1):
             emitter.emit(
                 {"kind": "convolution", "r": args.r, "n": n, "value": text},
                 f"r={args.r} n={n} {text}",
             )
         return 0
 
-    # every report is formatted before the first is written, as in _cmd_seq
     records = [report.to_record() for report in conv.check_row(spec, args.r, args.n, args.delta)]
     for rec in records:
         emitter.emit(
@@ -174,15 +173,41 @@ def _cmd_conv(args, emitter) -> int:
     return 0 if all(rec["matched"] for rec in records) else 1
 
 
+def _recurrence_holds(coefficients, values) -> bool:
+    """Whether a_n = sum_{i=1..d} c_i a_(n-i) for every n >= d of the values
+    a_0, a_1, ..., over ints: with C and D the lcm of the denominators of
+    the c_i and of the a_n (of their coefficients, for a Polynomial), as C D
+    is nonzero, whether C D a_n = sum_i (C c_i)(D a_(n-i)), with no product
+    by C = 1.  Where an entry is a Polynomial, every entry is its list of int
+    coefficients and each product is added to the sum a coefficient of C c_i
+    at a time, over the whole list of D a_(n-i): faster than Polynomial
+    products and sums, and nothing is packed, as packing at x = 2^B is
+    quadratic in the degree."""
+    C, c = _scale(coefficients)
+    D, a = _scale(values)
+    d = len(c)
+    if Polynomial not in map(type, c + a):
+        c.reverse()
+        return all(sum(map(mul, c, a[n - d:n])) == (C * a[n] if C > 1 else a[n])
+                   for n in range(d, len(a)))
+    c, a = ([v.coefficients if type(v) is Polynomial else (v,) for v in entries] for entries in (c, a))
+    for n in range(d, len(a)):
+        total = [0] * max(len(ci) + len(a[n - i]) for i, ci in enumerate(c, 1))
+        for i, ci in enumerate(c, 1):
+            b = a[n - i]
+            for k, ck in enumerate(ci):
+                if ck:
+                    total[k:k + len(b)] = map(add, total[k:k + len(b)], map(mul, b, repeat(ck)))
+        want = [C * x for x in a[n]] if C > 1 else list(a[n])
+        if total[:len(want)] != want or any(total[len(want):]):
+            return False
+    return True
+
+
 def _cmd_decompose(args, emitter) -> int:
     rec_spec = RecurrenceSpec(tuple(args.coeffs), tuple(args.init))
     lambdas, window = seq.decompose(rec_spec, args.n)
-    ok = True
-    for n in range(rec_spec.order, len(window)):
-        expected = 0
-        for i, ci in enumerate(rec_spec.coefficients, start=1):
-            expected = expected + ci * window.value_at(n - i)
-        ok &= window.value_at(n) == expected
+    ok = _recurrence_holds(rec_spec.coefficients, window.values)
     record = {
         "kind": "decomposition",
         "lambdas": [format_element(v) for v in lambdas],
@@ -501,13 +526,17 @@ def main(argv=None) -> int:
         # inside the try: parsing a list of ring elements allocates too
         if not _parse(sys.argv[1:] if argv is None else argv, args):
             return 0
-        return _SCOPES[args.command].handler(args, _Emitter(args.format, args.quiet, sys.stdout))
+        emitter = _Emitter(args.format, args.quiet)
+        code = _SCOPES[args.command].handler(args, emitter)
     except ValueError as exc:
         message = str(exc)
     except (MemoryError, OverflowError):
         # OverflowError: a list longer than sys.maxsize, which CPython refuses
         # to build as it refuses one that does not fit in memory
         message = "the request needs more memory than can be allocated"
+    else:
+        sys.stdout.writelines(emitter.lines)
+        return code
     scope = _SCOPES.get(args.command, _TOP)
     print(f"{scope.usage}\n{scope.prog}: error: {message}", file=sys.stderr)
     return 2

@@ -5,8 +5,9 @@ triangle recurrences, defining sequence recurrences, exhaustive enumeration
 via itertools, the paper's partial-Bell-polynomial definitions evaluated
 by enumerating the index set pi(n, k) (``bell_eval``) instead of through the
 power-series kernel, and that kernel's table of truncated powers built in
-``Polynomial`` arithmetic, with no packing into ints, and ``decompose``'s
-reconstruction summed in ring arithmetic over a given window.  Only the
+``Polynomial`` arithmetic, with no packing into ints, ``decompose``'s
+reconstruction summed in ring arithmetic over a given window, and the CLI's
+check of a recurrence over a window, in ring arithmetic too.  Only the
 exact-arithmetic substrate (Fraction, Polynomial, generalized_binomial) and
 ``bell_eval`` are shared with the package.
 
@@ -115,6 +116,19 @@ def run_recurrence(coeffs, init, n_max):
     for n in range(d, n_max + 1):
         vals.append(sum(coeffs[i] * vals[n - 1 - i] for i in range(d)))
     return vals[: n_max + 1]
+
+
+def recurrence_holds_by_ring(coeffs, values):
+    """Whether values[n] = sum_i coeffs[i-1] * values[n-i] for every n >= d,
+    each sum accumulated from 0 in ring arithmetic with no scaling: the
+    reference for the int check ``cli._recurrence_holds``."""
+    ok = True
+    for n in range(len(coeffs), len(values)):
+        expected = 0
+        for i, ci in enumerate(coeffs, start=1):
+            expected = expected + ci * values[n - i]
+        ok &= values[n] == expected
+    return ok
 
 
 def window_by_ring(coeffs, n_max):

@@ -12,10 +12,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bellseq import cli
+from bellseq import cli, seq
 from bellseq.conv import check_row, shifted_convolution_closed
-from bellseq.ring import WORK, Polynomial, format_element, parse_element, price
-from bellseq.seq import BellSequenceSpec, bell_transform, preset
+from bellseq.ring import WORK, Polynomial, X, format_element, normalized, parse_element, price
+from bellseq.seq import BellSequenceSpec, SequenceWindow, bell_transform, preset
 
 from _oracles import (
     build_parser,
@@ -23,6 +23,7 @@ from _oracles import (
     iterative_partition_count,
     jacobsthal_polys,
     parse_element_by_split,
+    recurrence_holds_by_ring,
     run_recurrence,
 )
 
@@ -701,6 +702,34 @@ class TestDecomposeCommand:
             "sequence: " + ",".join(map(format_element, run_recurrence(coeffs, init, 200))),
             "recurrence: ok",
         ]
+
+    @pytest.mark.parametrize("coeffs, init", [
+        ("1/2,-2/3,3", "1,3/4,-2"),
+        ("1/2+x,-2/3,3x", "1,x,1/3"),
+    ], ids=["rational", "polynomial"])
+    def test_mismatch_exits_1_in_every_format(self, capsys, monkeypatch, coeffs, init):
+        # the true lambdas with the window's last value off by one
+        true_decompose = seq.decompose
+
+        def off_by_one(rec, N):
+            lambdas, window = true_decompose(rec, N)
+            return lambdas, SequenceWindow(window.values[:-1] + (window.values[-1] + 1,))
+
+        monkeypatch.setattr(seq, "decompose", off_by_one)
+        argv = ("decompose", "--coeffs", coeffs, "--init", init, "--n", "6")
+        code, out = run_cli(capsys, *argv)
+        assert code == 1
+        assert out.splitlines()[2] == "recurrence: MISMATCH"
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        assert code == 1
+        assert '"recurrence_ok": false' in out
+        assert json.loads(out)["recurrence_ok"] is False
+        code, out = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 1
+        header, row = out.splitlines()
+        assert header.endswith(",recurrence_ok")
+        assert row.endswith(",false")
+
     def test_deep_cancelling_recurrence(self):
         # the seq request of the same recurrence, as a decomposition
         result = run_subprocess("decompose", "--coeffs", "1,0x-1", "--init", "1,1", "--n", "1500")
@@ -710,6 +739,31 @@ class TestDecomposeCommand:
             "sequence: " + ",".join(str(PERIOD_6[n % 6]) for n in range(1501)),
             "recurrence: ok",
         ]
+
+
+entries = st.one_of(
+    st.integers(-9, 9),
+    st.just(0),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=1, max_size=3)
+    .map(Polynomial),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+    st.lists(entries, min_size=d, max_size=d), st.lists(entries, min_size=d, max_size=d))),
+    st.integers(0, 12))
+def test_recurrence_check_agrees_with_the_ring_reference(recurrence, N):
+    # the true window, then each entry perturbed by +-1 and +-x
+    coeffs, init = recurrence
+    window = [normalized(v) for v in run_recurrence(coeffs, init, max(N, len(coeffs) - 1))]
+    assert cli._recurrence_holds(coeffs, window)
+    assert recurrence_holds_by_ring(coeffs, window)
+    for n in range(len(window)):
+        for step in (1, -1, X, -X):
+            perturbed = window[:n] + [normalized(window[n] + step)] + window[n + 1:]
+            assert cli._recurrence_holds(coeffs, perturbed) == recurrence_holds_by_ring(coeffs, perturbed)
 
 
 class TestBellCommand:
