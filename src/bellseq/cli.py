@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import os
 import sys
-from itertools import repeat
 from math import isqrt
-from operator import add, mul
+from operator import mul
 from types import SimpleNamespace
 
 from . import seq
 from .bellpoly import _check_args, bell_eval, bell_eval_recurrence, bell_symbolic
-from .ring import Polynomial, _norm, _rough, _scale, crude, format_element, parse_element, price
+from .ring import _norm, _rough, _scale, crude, format_element, parse_element, price
 from .seq import PRESET_NAMES, BellSequenceSpec, RecurrenceSpec
 
 # one exponent of a term costs about 10 products of one digit, 170 ns: the
@@ -178,30 +177,15 @@ def _recurrence_holds(coefficients, values) -> bool:
     a_0, a_1, ..., over ints: with C and D the lcm of the denominators of
     the c_i and of the a_n (of their coefficients, for a Polynomial), as C D
     is nonzero, whether C D a_n = sum_i (C c_i)(D a_(n-i)), with no product
-    by C = 1.  Where an entry is a Polynomial, every entry is its list of int
-    coefficients and each product is added to the sum a coefficient of C c_i
-    at a time, over the whole list of D a_(n-i): faster than Polynomial
-    products and sums, and nothing is packed, as packing at x = 2^B is
-    quadratic in the degree."""
+    by C = 1.  A Polynomial entry is scaled to int coefficients, and its
+    products and sums are the Polynomial's own; nothing is packed, as
+    packing at x = 2^B is quadratic in the degree."""
     C, c = _scale(coefficients)
     D, a = _scale(values)
     d = len(c)
-    if Polynomial not in map(type, c + a):
-        c.reverse()
-        return all(sum(map(mul, c, a[n - d:n])) == (C * a[n] if C > 1 else a[n])
-                   for n in range(d, len(a)))
-    c, a = ([v.coefficients if type(v) is Polynomial else (v,) for v in entries] for entries in (c, a))
-    for n in range(d, len(a)):
-        total = [0] * max(len(ci) + len(a[n - i]) for i, ci in enumerate(c, 1))
-        for i, ci in enumerate(c, 1):
-            b = a[n - i]
-            for k, ck in enumerate(ci):
-                if ck:
-                    total[k:k + len(b)] = map(add, total[k:k + len(b)], map(mul, b, repeat(ck)))
-        want = [C * x for x in a[n]] if C > 1 else list(a[n])
-        if total[:len(want)] != want or any(total[len(want):]):
-            return False
-    return True
+    c.reverse()
+    return all(sum(map(mul, c, a[n - d:n])) == (C * a[n] if C > 1 else a[n])
+               for n in range(d, len(a)))
 
 
 def _cmd_decompose(args, emitter) -> int:
