@@ -7,11 +7,11 @@ parsed in one pass by each command's table of long options (``_COMMANDS``):
 ``--opt value`` or ``--opt=value``, unique prefixes, the last of repeated
 options, ``--param`` appended, a value begun by ``-`` taken unless ``--``;
 ``--format``, ``--quiet`` and ``-h`` go anywhere.  Every usage error, a
-request that memory or ``ring.WORK`` refuses included (`bell` is priced
-here), exits 2 with one ``usage:`` and one ``error:`` line.  A response is
-rendered whole and written to stdout at once after its handler returns, so
-such a request, or a value past the digit limit for int-to-text conversion,
-leaves stdout empty; a reader that closes stdout early ends it with exit 0.
+request that memory or ``ring.WORK`` refuses included, exits 2 with one
+``usage:`` and one ``error:`` line.  A response is rendered whole and
+written to stdout at once after its handler returns, so such a request, or
+a value past the digit limit for int-to-text conversion, leaves stdout
+empty; a reader that closes stdout early ends it with exit 0.
 ``decompose`` checks its recurrence over ints (:func:`_recurrence_holds`).
 ``json`` and :mod:`.conv` load where used."""
 
@@ -20,22 +20,13 @@ from __future__ import annotations
 
 import os
 import sys
-from math import isqrt
 from operator import mul
 from types import SimpleNamespace
 
 from . import seq
-from .bellpoly import _check_args, bell_eval, bell_eval_recurrence, bell_symbolic
-from .ring import _norm, _rough, _scale, crude, format_element, parse_element, price
+from .bellpoly import _bell_products, _check_args, bell_eval, bell_eval_recurrence, bell_symbolic
+from .ring import _scale, format_element, parse_element, price
 from .seq import PRESET_NAMES, BellSequenceSpec, RecurrenceSpec
-
-# one exponent of a term costs about 10 products of one digit, 170 ns: the
-# steps that enumerate it, weigh it, and write or read it (README, "Limits")
-PASSES = 10
-# a coefficient product in Fraction arithmetic costs about 60 more products
-# of one digit, the gcds that reduce it: bell_eval_recurrence at n = 200,
-# k = 100 and every entry 1/3 took 3.5 s (README, "Limits")
-RING = 60
 
 
 def _element_list(text: str) -> list:
@@ -209,106 +200,6 @@ def _cmd_decompose(args, emitter) -> int:
     return 0 if ok else 1
 
 
-def _partition_count(n: int, k: int) -> int:
-    """p(n, k), the partitions of n into exactly k parts: those of n - k into
-    parts of size at most k."""
-    if k > n:
-        return 0
-    ways = [1] + [0] * (n - k)
-    for size in range(1, min(k, n - k) + 1):
-        for w in range(size, n - k + 1):
-            ways[w] += ways[w - size]
-    return ways[n - k]
-
-
-def _bell_work(n: int, k: int, xs, cross_check: bool = False) -> tuple:
-    """(each, once): the products of `bell` at (n, k) with --x xs, as price()
-    reads them, for each term of B_{n,k} and once: n + 1 steps, over the
-    multiplicities and powers to k <= n; PASSES for each of a term's n - k + 1
-    exponents; per term, its coefficient, a set-partition count, at most
-    S(n, k) <= binom(n, k) k^(n-k), times its nz <= sqrt(2 n) + 1 nonzero
-    powers (distinct part sizes sum to n at most); each power x_i^a by
-    squaring, at most 8/3 of a product of its halves, a_1 <= k of n - k + 1
-    values at most and, for i >= 2, a <= k and a (i - 1) <= n - k; and the
-    value.  With D x_i = u of int coefficients and v = max(D, ||u||_1), u^a
-    and D^a are below 2^(a b_i + 1), b_i = bits(v - 1), and as a_1 +
-    sum_{i>=2} a_i = k and sum_{i>=2} (i - 1) a_i = n - k, a term's sum_i a_i
-    b_i <= k b_1 + (n - k) max_{i>=2} b_i/(i - 1), its degree likewise.
-    Degrees d_1 + d_2 <= e take (d_1 + 1)(d_2 + 1) <= (e/2 + 1)^2 coefficient
-    products, a term's nz products of degree d at most d^2 (nz - 1)/(2 nz) +
-    nz (d + 1).  With cross_check, once more the recurrence of
-    bellpoly.bell_eval_recurrence: k (n - k + 1)^2 loop steps at most, and
-    where a value B_{m-i,k'-1} is nonzero, n - k + 1 at the first level
-    (B_{m,0} is zero but at m = 0) and at the last (m = n alone) and (n - k +
-    1)^2 at each other, a binomial binom(m - 1, i - 1), i <= n - k + 1, below
-    2^min(n, (n - k) bits(n)), and where x_i is nonzero that times x_i and
-    times the value, m - k' <= n - k and k' <= k, whose bits and degree are
-    at most those of B_{n,k}, in ring arithmetic: a coefficient product per
-    pair of coefficients, and RING more for each when an entry has a
-    Fraction."""
-    slots = n - k + 1 if k <= n else 0
-    each, once = [(slots * PASSES, 0, 0)], [(n + 1, 0, 0)]
-    if not slots or not k:
-        return each, once
-    D, us = _scale(list(xs[:slots])) if xs else (1, [0])
-    # of the bits b_i, then of the degrees: x_1's, the most of a power x_i^a,
-    # i >= 2, and the most of a term
-    sizes = []
-    for column in ([(max(D, _norm(u)) - 1).bit_length() for u in us],
-                   [getattr(u, "degree", 0) for u in us]):
-        rest = column[1:]
-        most = any(rest) and min(k * max(rest), max(-(-(n - k) * b // j)
-                                                    for j, b in enumerate(rest, 1)))
-        sizes.append((k * column[0], most, min(k * column[0] + most, k * max(column)), max(column)))
-    (b1, b_most, bits, widest), (d1, d_most, d, deepest) = sizes
-    nz = min(k, slots, isqrt(2 * n) + 1)
-    value = min(n, min(k, n - k) * n.bit_length()) + (n - k) * (k - 1).bit_length() + bits + 2
-    each.append((d * d * (nz - 1) // (2 * nz) + nz * (d + 1), value, value))
-    once.append((d + 1, value, value))
-    for count, b, e in ((min(k, slots), b1, d1),
-                        (min(k * (slots - 1), (n - k) * (n - k).bit_length()), b_most, d_most)):
-        once.append((3 * count * (e // 2 + 1) ** 2, b // 2 + 1, b // 2 + 1))
-    if cross_check:
-        # rows (k', m) whose cells are read with B_{m-i,k'-1} nonzero
-        rows, binom = max(k - 2, 0) * slots + 2, min(n, (n - k) * n.bit_length())
-        pairs = rows * sum(map(bool, us)) * (deepest + 1) * (d + 1)
-        once += [(k * slots * slots, 0, 0), (rows * slots, binom, binom),
-                 (rows * slots * (deepest + 1), binom, widest), (pairs, binom + widest, value),
-                 (pairs * (1 + RING * (D > 1)), 0, 0)]
-    return each, once
-
-
-def _bell_bound(n: int, k: int, xs, cross_check: bool = False) -> tuple:
-    """One :func:`~bellseq.ring.crude` triple at least the price of
-    :func:`_bell_work` with p(n, k) terms, by bit counts: p(n, k), the
-    partitions of n - k into at most k parts, is at most 2^(n - k) (each is
-    a composition, and n - k has 2^(n - k - 1) of them), taken as 2^40 past
-    n - k = 40, where it passes WORK; by :func:`~bellseq.ring._rough` on the
-    n - k + 1 entries, every b_i is at most W = e + s, as max(D, ||u_i||_1)
-    < 2^(e + s), and every degree at most g, so a term's bits are at most k
-    W and its degree d at most k g; the counts of each term sum to at most
-    (n - k + 1) PASSES + (k g)^2/2 + nz (k g + 1), those once to n + k g + 2
-    + 3 (k + k (n - k)) (k g/2 + 1)^2, and with cross_check k (n - k + 1)^2
-    + rows (n - k + 1) (g + 2) + pairs (RING + 2), pairs = rows t (g + 1)
-    (k g + 1), t the nonzero entries; every operand has at most the value's
-    bits, and with cross_check the binomial's and W more."""
-    if k > n:
-        return crude(n + 1, 0)
-    slots = n - k + 1
-    e, s, g, t, _, _ = _rough(xs[:slots])
-    W, d = e + s, k * g
-    terms = 1 << min(n - k, 40)
-    nz = min(k, slots, isqrt(2 * n) + 1)
-    count = terms * (slots * PASSES + d * d // 2 + nz * (d + 1)) + n + d + 2
-    count += 3 * (k + k * slots) * (d // 2 + 1) ** 2
-    bits = min(n, min(k, n - k) * n.bit_length()) + (n - k) * (k - 1).bit_length() + k * W + 2
-    if cross_check:
-        rows = max(k - 2, 0) * slots + 2
-        count += k * slots * slots + rows * slots * (g + 2) + rows * t * (g + 1) * (d + 1) * (RING + 2)
-        bits += min(n, (n - k) * n.bit_length()) + W
-    return crude(count, bits)
-
-
 def _cmd_bell(args, emitter) -> int:
     n, k = args.n, args.k
     if args.symbolic and args.x is not None:
@@ -317,29 +208,14 @@ def _cmd_bell(args, emitter) -> int:
         raise ValueError("--symbolic conflicts with --cross-check")
     if not args.symbolic and args.x is None:
         raise ValueError("either --symbolic or --x is required")
-    xs = args.x or ()
-    if not args.symbolic:
-        _check_args(n, k, xs)
-    full = []
-
-    def products(parts):
-        if not parts:
-            return [_bell_bound(n, k, xs, args.cross_check)]
-        if not full:
-            each, once = _bell_work(n, k, xs, args.cross_check)
-            # the lower bound p(n, k) >= floor((n - k)/2) + 1 first, so that
-            # a request it refuses is not counted
-            terms = (n - k) // 2 + 1 if 2 <= k <= n else 1
-            if price(lambda parts: once + [(terms * count, a, b) for count, a, b in each]):
-                terms = _partition_count(n, k)
-            full.extend(once + [(terms * count, a, b) for count, a, b in each])
-        return full
-
-    price(products, f"B_({n},{k})")
     if args.symbolic:
         text = str(bell_symbolic(n, k))
         emitter.emit({"kind": "bellpoly", "n": n, "k": k, "terms": text}, text)
         return 0
+    if args.cross_check:
+        # the pair as one request, before either route prices and runs alone
+        _check_args(n, k, args.x)
+        price(_bell_products(n, k, args.x, recurrence=True), f"B_({n},{k})")
     value = bell_eval(n, k, args.x)
     record = {"kind": "bellpoly", "n": n, "k": k, "value": format_element(value)}
     plain = record["value"]

@@ -1,12 +1,16 @@
+import gc
 import random
+import subprocess
 import sys
 import types
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bellseq import bellpoly
 from bellseq.bellpoly import (
     bell_closed_three_term,
     bell_closed_two_term,
@@ -15,7 +19,7 @@ from bellseq.bellpoly import (
     bell_symbolic,
     enumerate_pi,
 )
-from bellseq.ring import Polynomial, X, normalized
+from bellseq.ring import WORK, Polynomial, X, normalized
 
 from _oracles import (
     bell_numbers,
@@ -59,6 +63,14 @@ class TestEnumeratePi:
     def test_k_greater_than_n_is_empty(self):
         assert enumerate_pi(3, 5) == []
         assert enumerate_pi(0, 1) == []
+
+    def test_result_is_freed_with_its_last_reference(self):
+        # the search leaves no reference cycle behind, so repeated calls
+        # (lemma_identity_check makes hundreds) do not hold every past result
+        # until a full collection (33 MB a call at bell_eval(157, 4))
+        gc.collect()
+        enumerate_pi(30, 5)
+        assert gc.collect() == 0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -249,3 +261,47 @@ class TestClosedForms:
                 args = [1, 2, 6] + [0] * n
                 lhs = factorial(n) // factorial(k) * bell_closed_three_term(n, k)
                 assert lhs == bell_eval(n, k, args)
+
+
+scalars = st.integers(-20, 20) | st.fractions(min_value=-20, max_value=20, max_denominator=6)
+# int, Fraction and Polynomial entries, mixed in one list
+entries = scalars | st.lists(scalars, min_size=1, max_size=3).map(Polynomial)
+
+
+class TestPrice:
+    @pytest.mark.parametrize("call", [
+        "bell_eval(200, 100, [1] * 101)",
+        "bell_symbolic(200, 100)",
+        "bell_eval_recurrence(3000, 1500, [1] * 1501)",
+    ])
+    def test_call_past_work_is_refused_at_once(self, call):
+        # before each route priced itself, the first two ran out of 1 GiB in
+        # seconds and the third ran for minutes; the child's memory is
+        # capped, so a route that built its work fails the cap, not the host
+        code = (
+            "import resource; resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))\n"
+            "from time import perf_counter\n"
+            "from bellseq.bellpoly import *\n"
+            "start = perf_counter()\n"
+            "try:\n"
+            f"    {call}\n"
+            "except ValueError as exc:\n"
+            "    print(perf_counter() - start, exc)\n"
+        )
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30)
+        assert child.returncode == 0, child.stderr
+        seconds, _, message = child.stdout.partition(" ")
+        assert f"would take more than WORK = {WORK} units of work" in message
+        assert float(seconds) < 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 40).flatmap(lambda n: st.integers(0, n + 1).flatmap(lambda k: st.tuples(
+        st.just(n), st.just(k), st.lists(entries, min_size=n - k + 1, max_size=n - k + 1)))))
+    def test_each_route_prices_a_part_of_the_pair(self, request):
+        # bell --cross-check prices the pair before either route prices
+        # itself, so a route's groups must be among the pair's: then a route
+        # never refuses what the pair accepted
+        n, k, xs = request
+        pair = Counter(bellpoly._bell_products(n, k, xs, True, True)(1))
+        for route in ((True, False), (False, True)):
+            assert Counter(bellpoly._bell_products(n, k, xs, *route)(1)) <= pair

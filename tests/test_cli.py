@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bellseq import cli, seq
+from bellseq import bellpoly, cli, seq
 from bellseq.conv import check_row, shifted_convolution_closed
 from bellseq.ring import WORK, Polynomial, X, format_element, normalized, parse_element, price
 from bellseq.seq import BellSequenceSpec, SequenceWindow, bell_transform, preset
@@ -276,15 +276,18 @@ class TestUsageErrors:
     def test_bell_refused_by_a_lower_bound(self, capsys, monkeypatch):
         # p(n, k) >= floor((n - k)/2) + 1 = 5001 terms already pass WORK, so
         # the partitions are never counted
-        monkeypatch.setattr(cli, "_partition_count", lambda n, k: pytest.fail("counted"))
+        monkeypatch.setattr(bellpoly, "_partition_count", lambda n, k: pytest.fail("counted"))
         assert cli.main(["bell", "--n", "20000", "--k", "10000", "--symbolic"]) == 2
         assert f"B_(20000,10000) would take more than WORK = {WORK}" in capsys.readouterr().err
 
     def test_short_argument_list_is_refused_before_the_price(self, capsys, monkeypatch):
-        # a list too short for B_(n,k) is the usage error, whatever n costs
-        monkeypatch.setattr(cli, "price", lambda *args: pytest.fail("priced"))
-        assert cli.main(["bell", "--n", "200000", "--k", "2", "--x", "1,2"]) == 2
-        assert "argument list too short: B_(200000,2) needs 199999 entries, got 2" in capsys.readouterr().err
+        # a list too short for B_(n,k) is the usage error, whatever n costs,
+        # with or without the pair's price
+        for module in (cli, bellpoly):
+            monkeypatch.setattr(module, "price", lambda *args: pytest.fail("priced"))
+        for flags in ([], ["--cross-check"]):
+            assert cli.main(["bell", "--n", "200000", "--k", "2", "--x", "1,2", *flags]) == 2
+            assert "argument list too short: B_(200000,2) needs 199999 entries, got 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, shows", [
         (("-h",), ["seq", "conv", "decompose", "bell", "--format", "--quiet"]),
@@ -537,7 +540,7 @@ class TestBellSizeFuzz:
         # refused exactly when the price of the exact p(n, k) terms is past WORK
         entries = [] if symbolic else list(map(parse_element, xs))
         terms = iterative_partition_count(n, k)
-        each, once = cli._bell_work(n, k, entries)
+        each, once, _ = bellpoly._bell_work(n, k, entries)
         refused = not price(lambda parts: once + [(terms * c, a, b) for c, a, b in each])
         assert (code == 2) == refused
 

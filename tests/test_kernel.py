@@ -21,7 +21,7 @@ from random import Random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from bellseq import cli, conv, seq
+from bellseq import bellpoly, conv, seq
 from bellseq.conv import check_row, convolution_closed, shifted_convolution_closed
 from bellseq.ring import WORK, Polynomial, X, _norm, _scale, generalized_binomial, parse_element, price
 from bellseq.seq import (
@@ -617,10 +617,12 @@ def test_benchmark_sizes_are_never_refused(a, b, c, N, r, n, delta):
     next(check_row(BellSequenceSpec(0, 1, spec.c) if delta else spec, r, n, delta))
     decompose(RecurrenceSpec(spec.c, tuple(range(len(c)))), N + len(c))
     for xs in ([parse_element(str(v)) for v in c] * 12, ()):
+        # bell's full model, p(n, k) terms, by each route: the enumeration,
+        # the recurrence and the pair
         for k in range(1, 13):
-            each, once = cli._bell_work(12, k, xs)
-            terms = cli._partition_count(12, k)
-            assert price(lambda parts: once + [(terms * c, a, b) for c, a, b in each])
+            for route in ((True, False), (False, True), (True, True)):
+                groups = bellpoly._bell_products(12, k, xs, *route)(1)
+                assert price(lambda parts: groups)
 
 
 growth_scalars = st.one_of(st.just(0), st.fractions(min_value=-6, max_value=6, max_denominator=4))

@@ -12,7 +12,7 @@ from functools import partial
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from bellseq import cli, conv, ring, seq
+from bellseq import bellpoly, cli, conv, ring, seq
 from bellseq.ring import WORK, Polynomial, X, parse_element, price, units
 from bellseq.seq import BellSequenceSpec, _scaled, growth, preset, work
 
@@ -45,11 +45,18 @@ def check_spec_models(a, b, c, N, r, delta, lambdas=0, room=0, sizes=((0, 0, 1),
         assert crude >= total(conv._walk_work(N, r, delta, grown[3], full_sizes, 1))
 
 
-def check_bell_model(n, k, xs, cross_check):
-    each, once = cli._bell_work(n, k, xs, cross_check)
+# bellpoly's three routes to B_{n,k}: (enumeration, recurrence) flags
+BELL_ROUTES = ((True, False), (False, True), (True, True))
+
+
+def check_bell_model(n, k, xs):
+    # each route's crude triple against that route's full total: the
+    # enumeration with the exact p(n, k) terms, the recurrence, and the pair
+    each, once, recurrence = bellpoly._bell_work(n, k, xs)
     terms = iterative_partition_count(n, k)
-    assert total([cli._bell_bound(n, k, xs, cross_check)]) >= total(
-        once + [(terms * count, a, b) for count, a, b in each])
+    enumeration = once + [(terms * count, a, b) for count, a, b in each]
+    for route, groups in zip(BELL_ROUTES, (enumeration, recurrence, enumeration + recurrence)):
+        assert total([bellpoly._bell_bound(n, k, xs, *route)]) >= total(groups), route
 
 
 @settings(max_examples=300, deadline=None)
@@ -78,28 +85,29 @@ def test_crude_run_bounds_the_benchmark_examples(a, b, c):
         check_spec_models(a, b, c, N, 8, 0)
     for xs in ([parse_element(str(v)) for v in c] * 12, ()):
         for k in range(0, 14):
-            check_bell_model(12, k, xs, False)
-            if xs:
-                check_bell_model(12, k, xs, True)
+            check_bell_model(12, k, xs)
 
 
-bell_lists = st.one_of(
-    st.lists(st.integers(-20, 20), min_size=41, max_size=41),
-    st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=6), min_size=41, max_size=41),
-    st.lists(entries, min_size=41, max_size=41),
-)
+bell_kinds = (st.integers(-20, 20), st.fractions(min_value=-20, max_value=20, max_denominator=6), entries)
+
+
+def bell_request(n):
+    """(n, k), k <= n + 1, and exactly the n - k + 1 entries of one kind that
+    B_{n,k} reads."""
+    return st.integers(0, n + 1).flatmap(lambda k: st.tuples(st.just((n, k)), st.one_of(
+        [st.lists(kind, min_size=n - k + 1, max_size=n - k + 1) for kind in bell_kinds])))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n + 1))), bell_lists,
-       st.booleans(), st.booleans())
-@example((1, 1), [1] * 41, False, False)
-@example((8, 8), [1] * 41, False, True)
-def test_crude_run_bounds_the_bell_model(nk, xs, symbolic, cross_check):
-    n, k = nk
-    if symbolic:
-        xs, cross_check = (), False
-    check_bell_model(n, k, xs, cross_check)
+@given(st.integers(0, 40).flatmap(bell_request), st.booleans())
+@example(((1, 1), [1]), False)
+@example(((8, 8), [1]), False)
+# a zero Polynomial, of degree -1, once gave the full model negative counts
+# and more weight than the crude triple
+@example(((16, 15), [0, Polynomial(())]), False)
+def test_crude_run_bounds_the_bell_model(request, symbolic):
+    (n, k), xs = request
+    check_bell_model(n, k, () if symbolic else xs)
 
 
 @pytest.fixture
@@ -114,7 +122,7 @@ def runs(monkeypatch):
         finally:
             asked.append(max(parts_asked))
 
-    for module in (seq, conv, cli):
+    for module in (seq, conv, bellpoly, cli):
         monkeypatch.setattr(module, "price", recording)
     return asked
 
@@ -138,7 +146,8 @@ def run_main(argv) -> int:
 def test_small_requests_take_the_crude_run_alone(runs, monkeypatch, argv):
     # no full model runs: growth, bell's work and its partition count are
     # never reached
-    for module, name in ((seq, "growth"), (conv, "growth"), (cli, "_bell_work"), (cli, "_partition_count")):
+    for module, name in ((seq, "growth"), (conv, "growth"), (bellpoly, "_bell_work"),
+                         (bellpoly, "_partition_count")):
         monkeypatch.setattr(module, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
     assert run_main(argv) == 0
     assert runs and set(runs) == {0}
@@ -161,4 +170,6 @@ def test_crude_bound_is_capped_past_work():
     spec = preset("catalan")[0]
     sizes = conv._growth_sizes(10**6, seq._rough_growth(spec, 10**6))
     assert total(conv._walk_work(10**6, 100, 0, (0, 1), sizes, 0)) > WORK
-    assert total([cli._bell_bound(100, 10, [1] * 91)]) > WORK
+    # (the enumeration's terms, alone and in the pair)
+    for recurrence in (False, True):
+        assert total([bellpoly._bell_bound(100, 10, [1] * 91, True, recurrence)]) > WORK
